@@ -1,9 +1,11 @@
 // The dynamics layer, end to end through scenario::Experiment:
 //
 //   - Goldens: dynamics-absent scenarios produce byte-identical result
-//     documents to the pre-dynamics build on all three engines (hashes
-//     captured before the layer landed — the "static worlds are
-//     untouched" contract, which also pins the sensing-spec redesign).
+//     documents to the pre-dynamics build across the whole workload x
+//     engine matrix (the first hashes were captured before the layer
+//     landed — the "static worlds are untouched" contract, which also
+//     pins the sensing-spec redesign), and churn/drift/fade results are
+//     pinned on the single and sharded engines.
 //   - Invariance: a churned sharded walk is bit-identical for 1, 2, and
 //     8 threads (mutation is serial; rewrites are per-range
 //     deterministic).
@@ -85,10 +87,103 @@ TEST(DynamicScenarios, StaticResultsAreByteIdenticalToPreDynamicsBuild) {
            "checkpoints":5,"agents":32,"rounds":20,"seed":11,
            "engine":"single"})",
        "50ccd5e52a6de938"},
+      // The rest of the workload x engine matrix.
+      {R"({"topology":"torus2d:32x32","workload":"density","agents":64,
+           "rounds":16,"seed":1,"miss":0.25,"spurious":0.02,"trials":2,
+           "engine":"vector"})",
+       "67df52000ecb0b4e"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,
+           "engine":"single"})",
+       "dd0a41d55e275ac5"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,
+           "engine":"vector"})",
+       "aa5ff6678eb5f80f"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"trials":2,
+           "engine":"sharded","threads":2})",
+       "8742e8a7edd9f95a"},
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,
+           "engine":"sharded","threads":3})",
+       "3c69d17b2aacea76"},
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,
+           "engine":"vector"})",
+       "c4c00f1d14f86968"},
+      {R"({"topology":"torus2d:24x24","workload":"local-density",
+           "radius":2,"tracked":4,"checkpoints":4,"agents":60,
+           "rounds":40,"seed":5,"engine":"single"})",
+       "7ad4aba85b62c693"},
+      {R"({"topology":"torus2d:24x24","workload":"local-density",
+           "radius":2,"tracked":4,"checkpoints":4,"agents":60,
+           "rounds":40,"seed":5,"engine":"sharded","threads":2})",
+       "d1e6a2d8514db114"},
+      {R"({"topology":"torus2d:24x24","workload":"local-density",
+           "radius":2,"tracked":4,"checkpoints":4,"agents":60,
+           "rounds":40,"seed":5,"engine":"vector"})",
+       "f992dc48a30544a8"},
+      {R"({"topology":"expander:d=8,n=512,seed=7","workload":"density",
+           "agents":64,"rounds":32,"lazy":0.25,"engine":"vector"})",
+       "3486ac594dfc6df5"},
+      {R"({"topology":"torus2d:32x32","workload":"density","agents":64,
+           "rounds":16,"seed":1,"lazy":0.25,"engine":"sharded",
+           "threads":2})",
+       "4f1be5e18691c9e2"},
+      // The four specs the CI dynamics-smoke job used to diff across
+      // the dynamics-ON and dynamics-OFF builds, spelled as antdense_run
+      // parses those command lines (a bare --lazy flag reads as 0).
+      {R"({"topology":"torus2d:24x24","workload":"density","agents":60,
+           "rounds":40,"trials":2,"miss":0.25,"spurious":0.02,
+           "engine":"sharded","threads":2})",
+       "e050290ec0b6fc2a"},
+      {R"({"topology":"expander:d=8,n=512,seed=7","workload":"density",
+           "agents":64,"rounds":32,"engine":"vector"})",
+       "b4f4a26af7f3a264"},
+      {R"({"topology":"ring:600","workload":"property",
+           "property-fraction":0.25,"agents":50,"rounds":24,"trials":2,
+           "engine":"single"})",
+       "d52dc0893ebfe0ae"},
+      {R"({"topology":"hypercube:9","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"engine":"single"})",
+       "9750d6ebb2ecb794"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
         << "static result drifted for " << g.json;
+  }
+}
+
+TEST(DynamicScenarios, DynamicResultsArePinned) {
+  const struct {
+    const char* json;
+    const char* hash;
+  } goldens[] = {
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":30,"seed":3,"engine":"single",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       "95163d231d0c3255"},
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":30,"seed":3,"engine":"sharded","threads":2,
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       "a3423523afb11eeb"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"trials":3,"engine":"single",
+           "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
+       "6d2dc18e24aa2513"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"trials":3,"engine":"sharded",
+           "dynamics":"drift:p_death=0.02,p_birth=0.05"})",
+       "8603f6918a5e2f19"},
+      {R"({"topology":"hypercube:8","workload":"density","agents":40,
+           "rounds":20,"seed":4,"lazy":0.2,"miss":0.1,"engine":"sharded",
+           "threads":3,"dynamics":"fade:p0=0.2,step=0.05"})",
+       "f9f40fb4c0366c5a"},
+  };
+  for (const auto& g : goldens) {
+    EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
+        << "dynamic result drifted for " << g.json;
   }
 }
 
