@@ -54,7 +54,7 @@ void print_usage(std::ostream& os) {
      << "  --lazy=P --miss=P --spurious=P --dropout=P\n"
      << "                    (Section 6.1 sensing perturbations)\n"
      << "  --dynamics=MODEL:PARAMS  time-varying world (--list-dynamics;\n"
-     << "                    density workload, engine single/sharded)\n"
+     << "                    density workload, any engine)\n"
      << "  --trials=K --threads=N --seed=S\n"
      << "  --engine=single|sharded|vector\n"
      << "                    (sharded: threads parallelize within one walk;\n"

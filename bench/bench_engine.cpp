@@ -2,9 +2,9 @@
 //
 // Times the frozen pre-engine round loop (sim/legacy_reference.hpp)
 // against the observer-based WalkEngine (sim/walk_engine.hpp, via the
-// run_density_walk wrapper), against the vector engine
-// (sim/vector_walk.hpp: wide-lane RNG, branchless word kernels, dense
-// collision counting), and against the scalar engine driven through a
+// run_density_walk wrapper), against the vector engine (engine=vector:
+// wide-lane RNG, branchless word kernels, dense collision counting),
+// and against the scalar engine driven through a
 // type-erased graph::AnyTopology handle (the scenario layer's hot
 // path), across agent counts and topologies, printing a ns/agent-round
 // table and writing the same records to a JSON artifact (default
@@ -15,7 +15,9 @@
 // (rgg2d / gnp / ba) rides along with a step budget scaled to its
 // honest per-query cost — O(deg) cell-window scan for rgg2d, O(n) row
 // scan for gnp, O(m) edge scan for ba — plus a resident-set column
-// that documents the O(agents) memory the implicit layer promises.
+// that documents the O(agents) memory the implicit layer promises (the
+// high-water mark is reset before each cell, so every row reports its
+// own peak).
 //
 // A fifth path, "engine+obs", re-times the scalar engine with the full
 // telemetry ambient installed (metrics registry + trace recorder), so
@@ -59,7 +61,7 @@
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
 #include "sim/legacy_reference.hpp"
-#include "sim/vector_walk.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -73,10 +75,10 @@ struct Cell {
   double legacy_ns = 0.0;
   double engine_ns = 0.0;
   double obs_ns = 0.0;  // engine with metrics + tracing ambient installed
-  double vector_ns = 0.0;  // engine=vector (sim/vector_walk.hpp)
+  double vector_ns = 0.0;  // engine=vector
   double any_ns = 0.0;  // engine driven through graph::AnyTopology
   double dyn_ns = 0.0;  // AnyTopology engine + attached zero-rate dynamics
-  std::uint64_t peak_rss = 0;  // process high-water RSS after this cell
+  std::uint64_t peak_rss = 0;  // high-water RSS during this cell
 };
 
 /// Best-of-`reps` ns/agent-round for one stepping path.
@@ -102,6 +104,7 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   cfg.rounds = static_cast<std::uint32_t>(
       std::max<std::uint64_t>(1, budget / agents));
 
+  bench::reset_peak_rss();
   Cell cell;
   cell.topology = topo.name();
   cell.agents = agents;
@@ -136,7 +139,8 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
       agents, cfg.rounds, reps);
   cell.vector_ns = time_path(
       [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk_vector(topo, cfg, 0xBE7C + rep)
+        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
+                                            sim::VectorExec{})
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
@@ -147,13 +151,11 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
-#if ANTDENSE_DYNAMICS
   // The dynamics layer's overhead row: the same AnyTopology walk with a
   // zero-rate churn model attached — the mutation phase fires every
   // round but mutates nothing, an upper bound on what the layer costs a
   // scenario that never asked for dynamics (whose cfg.dynamics is null
-  // and which skips even this).  CI gates dyn/any <= 1.02x on the
-  // ring/torus2d cells.
+  // and which skips even this).  Trended, not gated.
   sim::ChurnDynamics idle_dyn(any, 0.0, 0.0, 10, 0);
   cell.dyn_ns = time_path(
       [&](std::uint64_t rep) {
@@ -162,9 +164,6 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
         sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
       },
       agents, cfg.rounds, reps);
-#else
-  cell.dyn_ns = cell.any_ns;  // layer compiled out: overhead is zero
-#endif
   cell.peak_rss = bench::peak_rss_bytes();
   return cell;
 }
@@ -187,8 +186,7 @@ int main(int argc, char** argv) {
       "unified WalkEngine vs the frozen legacy round loop vs AnyTopology",
       "engine ns/agent-round <= legacy at 10k agents on torus2d; "
       "anytopology within 10% of engine there; dormant telemetry keeps "
-      "engine within 1.05x of legacy on ring/torus2d; the dynamics-"
-      "capable engine keeps engine within 1.02x of legacy there too; "
+      "engine within 1.05x of legacy on ring/torus2d; "
       "BENCH_engine.json parses");
 
   const std::vector<std::uint32_t> agent_counts =

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 #include "util/check.hpp"
 #include "util/json.hpp"
@@ -13,7 +14,21 @@
 
 namespace antdense::bench {
 
+void reset_peak_rss() {
+  // Linux: writing 5 to clear_refs resets VmHWM to the current RSS.
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  if (clear_refs) {
+    clear_refs << "5";
+  }
+}
+
 std::uint64_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;  // "VmHWM:  1234 kB"
+    }
+  }
 #if defined(__unix__) || defined(__APPLE__)
   struct rusage usage {};
   if (getrusage(RUSAGE_SELF, &usage) != 0) {

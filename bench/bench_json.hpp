@@ -18,8 +18,10 @@
 // or a 1-core container is meaningless without them — and let benches
 // over implicit topologies record the resident-set high-water mark, the
 // number that proves an O(agents)-memory substrate stayed that way.
-// peak_rss_bytes is the getrusage high-water mark at the time the cell
-// finished, so within one process it is monotone across records.
+// peak_rss_bytes is the resident-set high-water mark since the bench
+// last called reset_peak_rss() — per cell on Linux, where VmHWM can be
+// reset; elsewhere it is the getrusage lifetime mark, monotone across
+// records.
 //
 // Serialization rides on the shared in-repo writer (util/json.hpp) — no
 // external JSON dependency — which escapes strings and rejects
@@ -43,8 +45,13 @@ struct BenchRecord {
   std::uint64_t peak_rss_bytes = 0;    // 0 = not recorded
 };
 
-/// Process peak resident set in bytes via getrusage, or 0 when the
-/// platform cannot report it.  Monotone over the process lifetime.
+/// Resets the peak-resident-set mark to the current RSS where the
+/// platform allows it (Linux /proc/self/clear_refs); a no-op elsewhere.
+void reset_peak_rss();
+
+/// Peak resident set in bytes since the last reset_peak_rss() (Linux
+/// VmHWM), else the getrusage lifetime mark, or 0 when the platform
+/// cannot report it.
 std::uint64_t peak_rss_bytes();
 
 /// Serializes the records as a pretty-printed JSON array.  Throws

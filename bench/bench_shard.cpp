@@ -1,9 +1,9 @@
 // E-SHARD — sharded-engine scaling and single-thread parity.
 //
 // Times the single-stream engine (sim::run_density_walk) against the
-// sharded engine (sim::run_density_walk_sharded) at threads 1, 2, 4,
-// and 8 on the 2-D torus across agent counts — with a vector-engine
-// (sim::run_density_walk_vector) reference row per cell — printing a
+// sharded engine (run_density_walk with sim::ShardExec) at threads 1, 2,
+// 4, and 8 on the 2-D torus across agent counts — with a vector-engine
+// (sim::VectorExec) reference row per cell — printing a
 // ns/agent-round table and writing BENCH_shard.json for the CI perf
 // gate.  Before
 // timing, every cell cross-checks that the sharded collision counts are
@@ -36,8 +36,7 @@
 #include "bench_json.hpp"
 #include "graph/torus2d.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/sharded_walk.hpp"
-#include "sim/vector_walk.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -92,11 +91,11 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
   {
     sim::DensityConfig check_cfg = cfg;
     check_cfg.rounds = std::max<std::uint32_t>(1, cfg.rounds / 16);
-    const sim::DensityResult t1 = sim::run_density_walk_sharded(
+    const sim::DensityResult t1 = sim::run_density_walk(
         topo, check_cfg, 0x5EED,
         sim::ShardExec{.threads = 1, .shard_size = shard_size});
     for (unsigned threads : {2u, 8u}) {
-      const sim::DensityResult tn = sim::run_density_walk_sharded(
+      const sim::DensityResult tn = sim::run_density_walk(
           topo, check_cfg, 0x5EED,
           sim::ShardExec{.threads = threads, .shard_size = shard_size});
       if (tn.collision_counts != t1.collision_counts) {
@@ -121,7 +120,8 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
       agents, cfg.rounds, reps);
   cell.vector_ns = time_path(
       [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk_vector(topo, cfg, 0xBE7C + rep)
+        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
+                                            sim::VectorExec{})
                           .collision_counts[0];
       },
       agents, cfg.rounds, reps);
@@ -131,7 +131,7 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
     cell.sharded_ns[t] = time_path(
         [&](std::uint64_t rep) {
           sink = sink +
-                 sim::run_density_walk_sharded(
+                 sim::run_density_walk(
                      topo, cfg, 0xBE7C + rep,
                      sim::ShardExec{.threads = kThreadCounts[t],
                                     .shard_size = shard_size})

@@ -1,4 +1,4 @@
-// Vectorized stepping for the vector walk engine (sim/vector_walk.hpp):
+// Vectorized stepping for the vector walk engine (sim::VectorExec):
 // advances a whole position array one round, drawing from a
 // rng::WideStream.
 //

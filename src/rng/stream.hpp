@@ -1,5 +1,5 @@
 // Deterministic per-shard RNG stream derivation for the sharded walk
-// engine (sim/sharded_walk.hpp).
+// engine (sim::ShardExec).
 //
 // derive_stream(root, shard) maps a walk's stream seed plus a shard
 // index to the seed of that shard's private generator.  It is the

@@ -1,5 +1,5 @@
 // Wide (multi-lane) xoshiro256++ generation for the vector walk engine
-// (sim/vector_walk.hpp): kWideLanes independent xoshiro256++ streams
+// (sim::VectorExec): kWideLanes independent xoshiro256++ streams
 // advanced in lockstep over structure-of-arrays state, emitting their
 // outputs lane-interleaved.  This turns the per-agent "call the scalar
 // generator" hot-path cost into one wide update per kWideLanes words —

@@ -145,8 +145,6 @@ KvField f64_field(std::string key, bool required, double fallback = 0.0) {
           .required = required, .f64_default = fallback};
 }
 
-#if ANTDENSE_DYNAMICS
-
 /// churn grammar.  mean_down defaults to 10 rounds; the canonical
 /// spelling makes both optional parameters explicit so parameter order
 /// and omitted defaults never split the identity hash.
@@ -233,12 +231,9 @@ FadeParams parse_fade(const std::string& params) {
   return out;
 }
 
-#endif  // ANTDENSE_DYNAMICS
-
 DynamicsRegistry make_built_in() {
   DynamicsRegistry reg;
 
-#if ANTDENSE_DYNAMICS
   reg.register_family(
       "churn",
       {.make =
@@ -301,8 +296,6 @@ DynamicsRegistry make_built_in() {
        .grammar = "fade:p0=P,step=P[,seed=S] — per-agent time-varying "
                   "detection-miss probability "
                   "(e.g. fade:p0=0.1,step=0.02)"});
-#endif  // ANTDENSE_DYNAMICS
-
   return reg;
 }
 
@@ -358,8 +351,7 @@ const DynamicsRegistry::Family& DynamicsRegistry::family_for(
     }
     throw std::invalid_argument(
         "unknown dynamics model '" + model + "' (known: " +
-        (known.empty() ? "none — built without ANTDENSE_DYNAMICS" : known) +
-        ")");
+        known + ")");
   }
   *params = spec.substr(colon + 1);
   return it->second;

@@ -13,13 +13,10 @@
 #include "scenario/dynamics_registry.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
-#include "sim/sharded_walk.hpp"
 #include "sim/trial_runner.hpp"
-#include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "stats/accumulator.hpp"
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace antdense::scenario {
@@ -99,6 +96,24 @@ struct TrialProgress {
   std::atomic<std::uint64_t> done_{0};
 };
 
+/// The one EngineMode -> execution-policy mapping: calls run(exec) with
+/// the engine's policy.  `walk_threads` is the sharded engine's within-
+/// walk width; trial fan-outs pass 1 and parallelize across trials.
+template <typename RunFn>
+void with_engine(EngineMode engine, unsigned walk_threads, RunFn&& run) {
+  switch (engine) {
+    case EngineMode::kSharded:
+      run(sim::ShardExec{.threads = walk_threads});
+      return;
+    case EngineMode::kVector:
+      run(sim::VectorExec{});
+      return;
+    case EngineMode::kSingleStream:
+      break;
+  }
+  run(sim::SingleExec{});
+}
+
 sim::DensityConfig density_config(const ScenarioSpec& spec) {
   sim::DensityConfig cfg;
   cfg.num_agents = spec.agents;
@@ -168,8 +183,7 @@ Experiment::Experiment(ScenarioSpec spec, const Registry& registry)
   spec_.topology = registry.canonical(spec_.topology);
   if (!spec_.dynamics.empty()) {
     // Canonicalize like the topology so journals and caches key on one
-    // spelling; this is also where an unknown model (or any dynamics
-    // spec on an ANTDENSE_DYNAMICS=OFF build) is rejected.
+    // spelling; this is also where an unknown model is rejected.
     spec_.dynamics = DynamicsRegistry::built_in().canonical(spec_.dynamics);
     ANTDENSE_CHECK(spec_.workload == Workload::kDensity,
                    "dynamics models apply to the density workload only");
@@ -198,8 +212,7 @@ ScenarioResult Experiment::run() const { return run(ProgressHooks{}); }
 ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   util::WallTimer timer;
   // Trace the whole workload as one span (RNG-neutral: a trace scope
-  // observes wall time only).  The ambient bundle is also what the
-  // property fan-out below re-installs inside its workers.
+  // observes wall time only).
   obs::Telemetry* telemetry = obs::ambient_telemetry();
   obs::SpanScope workload_span(
       telemetry != nullptr ? telemetry->trace : nullptr,
@@ -211,256 +224,132 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   result.true_value = static_cast<double>(spec_.agents - 1) /
                       static_cast<double>(topo_.num_nodes());
 
-  switch (spec_.workload) {
-    case Workload::kDensity: {
-      // Dynamic worlds run through the dynamics-aware pipeline: the walk
-      // stream is the exact static stream (tag 0x51), the model mutates
-      // between rounds from its own derived stream, and each fan-out
-      // trial builds a fresh model from the canonical spec so trials
-      // stay independent and order-free.  validate() already rejected
-      // engine=vector here.
-      if (!spec_.dynamics.empty()) {
-        const DynamicsRegistry& models = DynamicsRegistry::built_in();
-        if (spec_.trials == 1) {
+  const unsigned walk_threads = spec_.trials == 1 ? spec_.threads : 1;
+  const sim::DensityConfig cfg = density_config(spec_);
+  with_engine(spec_.engine, walk_threads, [&](const auto& exec) {
+    switch (spec_.workload) {
+      case Workload::kDensity: {
+        // One trial matches run_density_walk(seed) on the engine exactly;
+        // fan-outs pool derived per-trial streams through the parallel
+        // trial runner.  Dynamic worlds keep the walk stream (tag 0x51),
+        // mutate between rounds from the model's own derived stream, and
+        // build a fresh model per trial so trials stay independent and
+        // order-free.
+        if (spec_.dynamics.empty() && spec_.trials == 1) {
+          RoundProgressObserver progress(hooks, spec_.rounds);
+          result.estimates =
+              sim::run_density_walk(topo_, cfg, spec_.seed, exec, nullptr,
+                                    progress)
+                  .estimates();
+        } else if (spec_.dynamics.empty()) {
+          TrialProgress progress(hooks, spec_.trials);
+          result.estimates = sim::collect_all_agent_estimates(
+              topo_, cfg, spec_.seed, spec_.trials, spec_.threads,
+              progress.callback(), exec);
+        } else if (spec_.trials == 1) {
           RoundProgressObserver progress(hooks, spec_.rounds);
           const std::unique_ptr<sim::WorldDynamics> model =
-              models.make(spec_.dynamics, topo_, spec_.agents);
-          if (spec_.engine == EngineMode::kSharded) {
-            result.estimates = sim::run_dynamic_density_walk_sharded(
-                topo_, density_config(spec_), *model, spec_.seed,
-                sim::ShardExec{.threads = spec_.threads}, progress);
-          } else {
-            result.estimates = sim::run_dynamic_density_walk(
-                topo_, density_config(spec_), *model, spec_.seed, progress);
-          }
+              DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
+                                                spec_.agents);
+          result.estimates = sim::run_dynamic_density_walk(
+              topo_, cfg, *model, spec_.seed, exec, progress);
         } else {
           TrialProgress progress(hooks, spec_.trials);
-          const std::function<void(std::size_t)> on_trial_done =
-              progress.callback();
-          std::vector<std::vector<double>> per_trial(spec_.trials);
-          util::parallel_for(
-              spec_.trials,
+          result.estimates = sim::pool_trial_estimates(
+              spec_.trials, spec_.agents, spec_.threads,
               [&](std::size_t trial) {
-                obs::ScopedTelemetry ambient(telemetry);
-                const std::uint64_t trial_seed =
-                    rng::derive_seed(spec_.seed, trial);
                 const std::unique_ptr<sim::WorldDynamics> model =
-                    models.make(spec_.dynamics, topo_, spec_.agents);
-                if (spec_.engine == EngineMode::kSharded) {
-                  per_trial[trial] = sim::run_dynamic_density_walk_sharded(
-                      topo_, density_config(spec_), *model, trial_seed,
-                      sim::ShardExec{.threads = 1});
-                } else {
-                  per_trial[trial] = sim::run_dynamic_density_walk(
-                      topo_, density_config(spec_), *model, trial_seed);
-                }
-                if (on_trial_done) {
-                  on_trial_done(trial);
-                }
+                    DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
+                                                      spec_.agents);
+                return sim::run_dynamic_density_walk(
+                    topo_, cfg, *model, rng::derive_seed(spec_.seed, trial),
+                    exec);
               },
-              spec_.threads);
-          for (const auto& v : per_trial) {
-            result.estimates.insert(result.estimates.end(), v.begin(),
-                                    v.end());
+              progress.callback());
+        }
+        break;
+      }
+
+      case Workload::kProperty: {
+        // estimate_property_frequency with the spec's trial fan-out and
+        // lazy knob: same property-assignment stream (tag 0xF00D), one
+        // derived seed per trial, bit-identical for any thread count.
+        const auto num_property = static_cast<std::uint32_t>(
+            std::lround(spec_.property_fraction * spec_.agents));
+        result.true_value = static_cast<double>(num_property) /
+                            static_cast<double>(spec_.agents - 1);
+        TrialProgress progress(hooks, spec_.trials);
+        result.estimates = sim::pool_trial_estimates(
+            spec_.trials, spec_.agents, spec_.threads,
+            [&](std::size_t trial) {
+              const std::uint64_t trial_seed =
+                  spec_.trials == 1 ? spec_.seed
+                                    : rng::derive_seed(spec_.seed, trial);
+              rng::Xoshiro256pp assign_gen(
+                  rng::derive_seed(trial_seed, 0xF00Du));
+              std::vector<bool> has_property(spec_.agents, false);
+              for (std::uint64_t idx : rng::sample_without_replacement(
+                       assign_gen, spec_.agents, num_property)) {
+                has_property[idx] = true;
+              }
+              const sim::PropertyResult raw = sim::run_property_walk(
+                  topo_, cfg, has_property, trial_seed, exec);
+              std::vector<double> freq;
+              freq.reserve(spec_.agents);
+              for (std::uint32_t i = 0; i < spec_.agents; ++i) {
+                const auto c = static_cast<double>(raw.total_counts[i]);
+                const auto cp = static_cast<double>(raw.property_counts[i]);
+                freq.push_back(c == 0.0 ? 0.0 : cp / c);
+              }
+              return freq;
+            },
+            progress.callback());
+        break;
+      }
+
+      case Workload::kTrajectory: {
+        // run_trajectory plus the lazy knob: same observers, same seed
+        // tag, so the unperturbed scenario matches sim::run_trajectory
+        // exactly.
+        result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
+        sim::CollisionObserver counts(spec_.agents);
+        sim::TrajectoryObserver trajectory(counts, spec_.tracked,
+                                           result.checkpoints);
+        sim::WalkConfig wcfg = cfg.walk_config();
+        wcfg.rounds = result.checkpoints.back();
+        RoundProgressObserver progress(hooks, wcfg.rounds);
+        sim::run_walk(topo_, wcfg, rng::derive_seed(spec_.seed, 0x7124u),
+                      exec, nullptr, counts, trajectory, progress);
+        result.series = trajectory.take_estimates();
+        for (const auto& trace : result.series) {
+          result.estimates.push_back(trace.back());
+        }
+        break;
+      }
+
+      case Workload::kLocalDensity: {
+        result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
+        BallDensityObserver balls(topo_, spec_.radius, result.checkpoints,
+                                  spec_.agents);
+        sim::WalkConfig wcfg = cfg.walk_config();
+        wcfg.rounds = result.checkpoints.back();
+        RoundProgressObserver progress(hooks, wcfg.rounds);
+        sim::run_walk(topo_, wcfg, rng::derive_seed(spec_.seed, 0x10Du),
+                      exec, nullptr, balls, progress);
+        const std::vector<std::vector<double>> densities =
+            balls.take_densities();
+        result.estimates = densities.back();
+        result.series.resize(spec_.tracked);
+        for (std::uint32_t a = 0; a < spec_.tracked; ++a) {
+          result.series[a].reserve(densities.size());
+          for (const auto& row : densities) {
+            result.series[a].push_back(row[a]);
           }
         }
         break;
       }
-      // Single-stream, one trial matches run_density_walk(seed) exactly;
-      // fan-outs pool derived per-trial streams through the parallel
-      // trial runner.  The sharded engine keeps its own (thread-count-
-      // invariant) stream: one trial parallelizes within the walk, fan-
-      // outs parallelize across trials and run each walk's shards
-      // serially — the estimates are identical either way.
-      if (spec_.trials == 1) {
-        RoundProgressObserver progress(hooks, spec_.rounds);
-        switch (spec_.engine) {
-          case EngineMode::kSharded:
-            result.estimates =
-                sim::run_density_walk_sharded(
-                    topo_, density_config(spec_), spec_.seed,
-                    sim::ShardExec{.threads = spec_.threads}, nullptr,
-                    progress)
-                    .estimates();
-            break;
-          case EngineMode::kVector:
-            result.estimates =
-                sim::run_density_walk_vector(topo_, density_config(spec_),
-                                             spec_.seed, sim::VectorExec{},
-                                             nullptr, progress)
-                    .estimates();
-            break;
-          case EngineMode::kSingleStream:
-            result.estimates =
-                sim::run_density_walk(topo_, density_config(spec_),
-                                      spec_.seed, nullptr, progress)
-                    .estimates();
-            break;
-        }
-      } else {
-        TrialProgress progress(hooks, spec_.trials);
-        if (spec_.engine == EngineMode::kSharded) {
-          result.estimates = sim::collect_all_agent_estimates_sharded(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        } else if (spec_.engine == EngineMode::kVector) {
-          result.estimates = sim::collect_all_agent_estimates_vector(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        } else {
-          result.estimates = sim::collect_all_agent_estimates(
-              topo_, density_config(spec_), spec_.seed, spec_.trials,
-              spec_.threads, progress.callback());
-        }
-      }
-      break;
     }
-
-    case Workload::kProperty: {
-      // estimate_property_frequency with the spec's trial fan-out and
-      // lazy knob: same property-assignment stream (tag 0xF00D), one
-      // derived seed per trial, bit-identical for any thread count.
-      const auto num_property = static_cast<std::uint32_t>(
-          std::lround(spec_.property_fraction * spec_.agents));
-      std::vector<std::vector<double>> per_trial(spec_.trials);
-      double truth = 0.0;
-      TrialProgress progress(hooks, spec_.trials);
-      const std::function<void(std::size_t)> on_trial_done =
-          progress.callback();
-      util::parallel_for(
-          spec_.trials,
-          [&](std::size_t trial) {
-            // parallel_for workers have no ambient telemetry of their
-            // own; propagate the experiment's bundle so engine taps
-            // fire inside each trial.
-            obs::ScopedTelemetry ambient(telemetry);
-            const std::uint64_t trial_seed =
-                spec_.trials == 1 ? spec_.seed
-                                  : rng::derive_seed(spec_.seed, trial);
-            rng::Xoshiro256pp assign_gen(
-                rng::derive_seed(trial_seed, 0xF00Du));
-            std::vector<bool> has_property(spec_.agents, false);
-            for (std::uint64_t idx : rng::sample_without_replacement(
-                     assign_gen, spec_.agents, num_property)) {
-              has_property[idx] = true;
-            }
-            const sim::PropertyResult raw = [&] {
-              switch (spec_.engine) {
-                case EngineMode::kSharded:
-                  return sim::run_property_walk_sharded(
-                      topo_, density_config(spec_), has_property, trial_seed,
-                      sim::ShardExec{.threads = spec_.trials == 1
-                                         ? spec_.threads
-                                         : 1});
-                case EngineMode::kVector:
-                  return sim::run_property_walk_vector(
-                      topo_, density_config(spec_), has_property, trial_seed);
-                case EngineMode::kSingleStream:
-                default:
-                  return sim::run_property_walk(topo_, density_config(spec_),
-                                                has_property, trial_seed);
-              }
-            }();
-            std::vector<double>& freq = per_trial[trial];
-            freq.reserve(spec_.agents);
-            for (std::uint32_t i = 0; i < spec_.agents; ++i) {
-              const auto c = static_cast<double>(raw.total_counts[i]);
-              const auto cp = static_cast<double>(raw.property_counts[i]);
-              freq.push_back(c == 0.0 ? 0.0 : cp / c);
-            }
-            if (trial == 0) {
-              truth = static_cast<double>(num_property) /
-                      static_cast<double>(spec_.agents - 1);
-            }
-            if (on_trial_done) {
-              on_trial_done(trial);
-            }
-          },
-          spec_.threads);
-      result.true_value = truth;
-      result.estimates.reserve(static_cast<std::size_t>(spec_.trials) *
-                               spec_.agents);
-      for (const auto& v : per_trial) {
-        result.estimates.insert(result.estimates.end(), v.begin(), v.end());
-      }
-      break;
-    }
-
-    case Workload::kTrajectory: {
-      // run_trajectory plus the lazy knob: same observers, same seed tag,
-      // so the unperturbed scenario matches sim::run_trajectory exactly.
-      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
-      sim::CollisionObserver counts(spec_.agents);
-      sim::TrajectoryObserver trajectory(counts, spec_.tracked,
-                                         result.checkpoints);
-      sim::WalkConfig cfg;
-      cfg.num_agents = spec_.agents;
-      cfg.rounds = result.checkpoints.back();
-      cfg.lazy_probability = spec_.lazy_probability;
-      RoundProgressObserver progress(hooks, cfg.rounds);
-      if (spec_.engine == EngineMode::kSharded) {
-        sim::run_walk_sharded(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-            sim::ShardExec{.threads = spec_.threads},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), counts,
-            trajectory, progress);
-      } else if (spec_.engine == EngineMode::kVector) {
-        sim::run_walk_vector(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-            sim::VectorExec{},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), counts,
-            trajectory, progress);
-      } else {
-        sim::run_walk(topo_, cfg, rng::derive_seed(spec_.seed, 0x7124u),
-                      static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                      counts, trajectory, progress);
-      }
-      result.series = trajectory.take_estimates();
-      for (const auto& trace : result.series) {
-        result.estimates.push_back(trace.back());
-      }
-      break;
-    }
-
-    case Workload::kLocalDensity: {
-      result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
-      BallDensityObserver balls(topo_, spec_.radius, result.checkpoints,
-                                spec_.agents);
-      sim::WalkConfig cfg;
-      cfg.num_agents = spec_.agents;
-      cfg.rounds = result.checkpoints.back();
-      cfg.lazy_probability = spec_.lazy_probability;
-      RoundProgressObserver progress(hooks, cfg.rounds);
-      if (spec_.engine == EngineMode::kSharded) {
-        sim::run_walk_sharded(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-            sim::ShardExec{.threads = spec_.threads},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), balls,
-            progress);
-      } else if (spec_.engine == EngineMode::kVector) {
-        sim::run_walk_vector(
-            topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-            sim::VectorExec{},
-            static_cast<const std::vector<std::uint64_t>*>(nullptr), balls,
-            progress);
-      } else {
-        sim::run_walk(topo_, cfg, rng::derive_seed(spec_.seed, 0x10Du),
-                      static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                      balls, progress);
-      }
-      const std::vector<std::vector<double>> densities =
-          balls.take_densities();
-      result.estimates = densities.back();
-      result.series.resize(spec_.tracked);
-      for (std::uint32_t a = 0; a < spec_.tracked; ++a) {
-        result.series[a].reserve(densities.size());
-        for (const auto& row : densities) {
-          result.series[a].push_back(row[a]);
-        }
-      }
-      break;
-    }
-  }
+  });
 
   result.summary = summarize(result.estimates, result.true_value, spec_.eps);
   result.elapsed_seconds = timer.elapsed_seconds();

@@ -11,11 +11,11 @@
 // series, and a stable JSON serialization (schema
 // "antdense.scenario.v1") that antdense_run emits and CI
 // schema-validates.  Determinism: a ScenarioResult is bit-identical for
-// a fixed spec, for any thread count — in both engine modes.  The
-// spec's `engine` field selects the walk execution model (the
-// historical single stream, or the sharded per-stream model of
-// sim/sharded_walk.hpp); the two modes are distinct experiments with
-// distinct identities, so `threads` remains a pure resource knob.
+// a fixed spec, for any thread count — in every engine mode.  The
+// spec's `engine` field selects the walk's execution policy
+// (sim::SingleExec, ShardExec or VectorExec in sim/walk_engine.hpp);
+// the modes are distinct experiments with distinct identities, so
+// `threads` remains a pure resource knob.
 //
 // Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981).
 #pragma once

@@ -40,11 +40,11 @@ enum class Workload {
 /// (equally valid) random streams, so their results differ bitwise.
 /// Within any one engine, results are bit-identical for any `threads`.
 enum class EngineMode {
-  kSingleStream,  // the historical run_walk stream; threads only fan
-                  // out Monte Carlo trials
-  kSharded,       // sim/sharded_walk.hpp: per-shard streams, threads
+  kSingleStream,  // sim::SingleExec: the historical stream; threads
+                  // only fan out Monte Carlo trials
+  kSharded,       // sim::ShardExec: per-shard streams, threads
                   // parallelize within one walk too
-  kVector,        // sim/vector_walk.hpp: wide-lane stream, vectorized
+  kVector,        // sim::VectorExec: wide-lane stream, vectorized
                   // stepping; threads fan out trials as with single
 };
 
@@ -107,7 +107,7 @@ struct ScenarioSpec {
   /// World-dynamics model spec ("model:k=v,..." parsed by
   /// scenario::DynamicsRegistry — churn / drift / fade), or "" for the
   /// historical static world.  Identity-bearing when present; density
-  /// workload, single/sharded engines only.
+  /// workload only, any engine.
   std::string dynamics;
 
   // --- execution -----------------------------------------------------

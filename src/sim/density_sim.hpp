@@ -4,7 +4,9 @@
 // round.  Both drivers are thin wrappers over the shared round loop in
 // sim/walk_engine.hpp — run_density_walk is the engine plus a
 // CollisionObserver, run_property_walk the engine plus a
-// PropertyObserver.
+// PropertyObserver — and take the engine's execution policy (SingleExec
+// by default, ShardExec or VectorExec), keeping the same seed tags on
+// every engine.
 //
 // The drivers also implement the perturbations Section 6.1 proposes for
 // robustness studies (they are *off* by default, matching the paper's
@@ -63,6 +65,13 @@ struct DensityConfig {
                    "dropout probability must be in [0,1]");
   }
 
+  /// The sensing-noise slice, for CollisionObserver and its kin.
+  CollisionObserver::Noise noise() const {
+    return {.detection_miss = detection_miss_probability,
+            .spurious = spurious_collision_probability,
+            .dropout = observation_dropout_probability};
+  }
+
   /// The movement-only slice of this config, for the walk engine.
   WalkConfig walk_config() const {
     WalkConfig cfg;
@@ -99,23 +108,22 @@ struct DensityResult {
 /// per-agent collision counts.  If `initial_positions` is non-null it
 /// must hold num_agents nodes (used by the non-uniform-placement
 /// experiments); otherwise agents start i.i.d. uniform, as the paper
-/// assumes.  Deterministic in `seed`.
+/// assumes.  Deterministic in `seed` on each engine.
 ///
 /// `extra` observers ride after the CollisionObserver in pack order
 /// (the scenario layer attaches its round-progress observer here); an
 /// extra observer that draws no randomness leaves the result stream
 /// bit-identical to the plain call.
-template <graph::Topology T, typename... Extra>
+template <graph::Topology T, ExecPolicy Exec = SingleExec,
+          typename... Extra>
 DensityResult run_density_walk(
     const T& topo, const DensityConfig& cfg, std::uint64_t seed,
+    const Exec& exec = {},
     const std::vector<typename T::node_type>* initial_positions = nullptr,
     Extra&... extra) {
   cfg.validate();
-  CollisionObserver observer(
-      cfg.num_agents, {.detection_miss = cfg.detection_miss_probability,
-                       .spurious = cfg.spurious_collision_probability,
-                       .dropout = cfg.observation_dropout_probability});
-  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u),
+  CollisionObserver observer(cfg.num_agents, cfg.noise());
+  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u), exec,
            initial_positions, observer, extra...);
 
   DensityResult result;
@@ -137,15 +145,15 @@ struct PropertyResult {
 /// counters simultaneously (one walk, two rates).  Honors
 /// cfg.lazy_probability (the pre-engine loop silently ignored it); the
 /// sensing-noise probabilities still apply only to run_density_walk.
-template <graph::Topology T>
+template <graph::Topology T, ExecPolicy Exec = SingleExec>
 PropertyResult run_property_walk(const T& topo, const DensityConfig& cfg,
                                  const std::vector<bool>& has_property,
-                                 std::uint64_t seed) {
+                                 std::uint64_t seed, const Exec& exec = {}) {
   cfg.validate();
   ANTDENSE_CHECK(has_property.size() == cfg.num_agents,
                  "property flags must match agent count");
   PropertyObserver observer(has_property);
-  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u),
+  run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x52u), exec,
            static_cast<const std::vector<typename T::node_type>*>(nullptr),
            observer);
 

@@ -44,7 +44,6 @@
 #include "rng/random.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamics.hpp"
-#include "sim/sharded_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
@@ -221,48 +220,25 @@ class DynamicCollisionObserver {
   obs::Counter* collisions_tap_ = nullptr;
 };
 
-/// Algorithm 1 with a dynamic world on the single-stream engine: the
-/// walk stream is the exact run_density_walk stream (tag 0x51); the
-/// model mutates between rounds from its own derived stream.  Returns
-/// the living population's estimates.
-template <typename... Extra>
+/// Algorithm 1 with a dynamic world: the walk stream is the exact
+/// run_density_walk stream of the chosen engine (tag 0x51); the model
+/// mutates between rounds from its own derived stream.  Returns the
+/// living population's estimates.  Sharded stays bit-identical for any
+/// ShardExec::threads.
+template <ExecPolicy Exec = SingleExec, typename... Extra>
 std::vector<double> run_dynamic_density_walk(const graph::AnyTopology& topo,
                                              const DensityConfig& cfg,
                                              WorldDynamics& model,
                                              std::uint64_t seed,
+                                             const Exec& exec = {},
                                              Extra&... extra) {
   cfg.validate();
-  DynamicCollisionObserver observer(
-      cfg.num_agents, model,
-      {.detection_miss = cfg.detection_miss_probability,
-       .spurious = cfg.spurious_collision_probability,
-       .dropout = cfg.observation_dropout_probability});
+  DynamicCollisionObserver observer(cfg.num_agents, model, cfg.noise());
   WalkConfig wcfg = cfg.walk_config();
   wcfg.dynamics = &model;
-  run_walk(topo, wcfg, rng::derive_seed(seed, 0x51u),
+  run_walk(topo, wcfg, rng::derive_seed(seed, 0x51u), exec,
            static_cast<const std::vector<std::uint64_t>*>(nullptr), observer,
            extra...);
-  return observer.estimates();
-}
-
-/// run_dynamic_density_walk on the sharded engine (its own stream, as
-/// run_density_walk_sharded): bit-identical for any exec.threads.
-template <typename... Extra>
-std::vector<double> run_dynamic_density_walk_sharded(
-    const graph::AnyTopology& topo, const DensityConfig& cfg,
-    WorldDynamics& model, std::uint64_t seed, const ShardExec& exec,
-    Extra&... extra) {
-  cfg.validate();
-  DynamicCollisionObserver observer(
-      cfg.num_agents, model,
-      {.detection_miss = cfg.detection_miss_probability,
-       .spurious = cfg.spurious_collision_probability,
-       .dropout = cfg.observation_dropout_probability});
-  WalkConfig wcfg = cfg.walk_config();
-  wcfg.dynamics = &model;
-  run_walk_sharded(topo, wcfg, rng::derive_seed(seed, 0x51u), exec,
-                   static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                   observer, extra...);
   return observer.estimates();
 }
 

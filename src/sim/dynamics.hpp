@@ -4,12 +4,12 @@
 // ants/robots live in a world that changes underfoot; see ROADMAP item
 // 4 and Hindes et al. on stochastic sensing and dynamics).
 //
-// Engine integration (run_walk / run_walk_sharded):
+// Engine integration (sim::run_walk, every engine):
 //
 //   round r (r >= 2):   mutate(r, mut_gen, positions)     [serial]
 //                       step agents from the WALK stream  [unchanged]
-//                       rewrite_moves(prev, pos, b, e)    [per shard]
-//                       count agents with count_mask()    [per shard]
+//                       rewrite_moves(prev, pos, b, e)    [per lane]
+//                       count agents with count_mask()    [per lane]
 //                       observer hooks                    [unchanged]
 //
 // RNG-stream isolation is the heart of the contract: every stochastic
@@ -36,15 +36,6 @@
 #include <string>
 
 #include "rng/xoshiro256pp.hpp"
-
-// Compile-time switch for the dynamics layer (CMake option
-// ANTDENSE_DYNAMICS, default ON).  When 0, the engines compile without
-// the mutation-phase branches and reject configs carrying a dynamics
-// model — CI's dynamics-smoke job byte-compares a static scenario
-// against such a build to prove the branches are inert.
-#ifndef ANTDENSE_DYNAMICS
-#define ANTDENSE_DYNAMICS 1
-#endif
 
 namespace antdense::sim {
 

@@ -91,8 +91,8 @@ LocalDensityProfile run_local_density_profile(
   WalkConfig cfg;
   cfg.num_agents = num_agents;
   cfg.rounds = checkpoints.back();
-  run_walk(torus, cfg, rng::derive_seed(seed, 0x10Du), initial_positions,
-           obs);
+  run_walk(torus, cfg, rng::derive_seed(seed, 0x10Du), SingleExec{},
+           initial_positions, obs);
 
   LocalDensityProfile profile;
   profile.checkpoints = obs.checkpoints();

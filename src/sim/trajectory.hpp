@@ -43,7 +43,7 @@ TrajectoryResult run_trajectory(const T& topo, std::uint32_t num_agents,
   cfg.num_agents = num_agents;
   cfg.rounds = checkpoints.back();
   // Pack order matters: counts must update before trajectory reads them.
-  run_walk(topo, cfg, rng::derive_seed(seed, 0x7124u),
+  run_walk(topo, cfg, rng::derive_seed(seed, 0x7124u), SingleExec{},
            static_cast<const std::vector<typename T::node_type>*>(nullptr),
            counts, trajectory);
 

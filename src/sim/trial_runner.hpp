@@ -8,10 +8,10 @@
 //   - collect_single_agent_estimates: keeps only agent 0 per trial,
 //     giving fully independent samples for tail estimation.
 // Trials are parallelized; each trial's seed derives from its index, so
-// output is identical for any thread count.  The _sharded variant pools
-// the sharded engine's stream instead (walks run their shards serially
-// inside each worker — by the sharded engine's thread-count invariance
-// the estimates are identical to any within-walk parallelization).
+// output is identical for any thread count.  collect_all_agent_estimates
+// takes the engine's execution policy; pass ShardExec{.threads = 1} to
+// keep parallelism at the trial level (by the sharded engine's
+// thread-count invariance the estimates are identical either way).
 #pragma once
 
 #include <cstdint>
@@ -22,13 +22,9 @@
 #include "obs/telemetry.hpp"
 #include "rng/splitmix64.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/sharded_walk.hpp"
-#include "sim/vector_walk.hpp"
 #include "util/parallel.hpp"
 
 namespace antdense::sim {
-
-namespace detail {
 
 /// Shared trial fan-out: runs run_trial(trial) -> per-agent estimates in
 /// parallel and concatenates the results in trial order.  When set,
@@ -63,52 +59,17 @@ std::vector<double> pool_trial_estimates(
   return all;
 }
 
-}  // namespace detail
-
-template <graph::Topology T>
+template <graph::Topology T, ExecPolicy Exec = SingleExec>
 std::vector<double> collect_all_agent_estimates(
     const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
     std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
+    const std::function<void(std::size_t)>& on_trial_done = {},
+    const Exec& exec = {}) {
+  return pool_trial_estimates(
       trials, cfg.num_agents, threads,
       [&](std::size_t trial) {
-        return run_density_walk(topo, cfg, rng::derive_seed(root_seed, trial))
-            .estimates();
-      },
-      on_trial_done);
-}
-
-/// collect_all_agent_estimates on the sharded engine: same per-trial
-/// seed derivation, sharded stream per walk.
-template <graph::Topology T>
-std::vector<double> collect_all_agent_estimates_sharded(
-    const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
-    std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
-        return run_density_walk_sharded(topo, cfg,
-                                        rng::derive_seed(root_seed, trial),
-                                        ShardExec{.threads = 1})
-            .estimates();
-      },
-      on_trial_done);
-}
-
-/// collect_all_agent_estimates on the vector engine: same per-trial
-/// seed derivation, wide-lane stream per walk.
-template <graph::Topology T>
-std::vector<double> collect_all_agent_estimates_vector(
-    const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
-    std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {}) {
-  return detail::pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
-        return run_density_walk_vector(topo, cfg,
-                                       rng::derive_seed(root_seed, trial))
+        return run_density_walk(topo, cfg,
+                                rng::derive_seed(root_seed, trial), exec)
             .estimates();
       },
       on_trial_done);

@@ -4,6 +4,16 @@
 
 namespace antdense::sim {
 
+ShardPlan ShardPlan::make(std::uint32_t num_agents,
+                          std::uint32_t shard_size) {
+  ANTDENSE_CHECK(num_agents >= 1, "shard plan needs at least one agent");
+  ANTDENSE_CHECK(shard_size >= 1, "shard size must be at least one agent");
+  ShardPlan plan;
+  plan.num_agents = num_agents;
+  plan.shard_size = shard_size;
+  return plan;
+}
+
 void WalkConfig::validate() const {
   ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
   ANTDENSE_CHECK(rounds >= 1, "need at least one round");

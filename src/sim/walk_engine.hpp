@@ -1,58 +1,81 @@
-// The unified synchronous round loop (Musco, Su & Lynch, PODC 2016,
-// arXiv:1603.02981, Algorithm 1), factored so that every workload —
-// density estimation, two-class property counting, trajectory recording,
-// local-density profiling, and anything future — shares ONE hot loop
-// instead of re-copying it.
+// The synchronous round loop (Musco, Su & Lynch, PODC 2016,
+// arXiv:1603.02981, Algorithm 1): every agent steps, counts the agents
+// on its node, and reports c/t.  Every workload — density estimation,
+// two-class property counting, trajectory recording, local-density
+// profiling — and every engine runs through the ONE loop in run_walk.
 //
-// Structure of one round (identical to the original loops):
-//   0. when a dynamics model is attached (sim/dynamics.hpp) and r >= 2:
-//      the world mutates on its own domain-tagged RNG stream — the
-//      walk stream below never changes, so static configs stay
+// One round, written once:
+//   0. mutate: when a dynamics model is attached (sim/dynamics.hpp) and
+//      r >= 2, the world mutates serially on its own domain-tagged RNG
+//      stream — the walk streams never change, so static configs stay
 //      bit-identical to their goldens;
-//   1. counter.begin_round()
-//   2. every agent steps: the batched topology API when the walk is not
-//      lazy (graph::random_neighbors — same generator stream as
-//      sequential calls), the legacy per-agent Bernoulli/step loop when
-//      it is;
-//   3. keys are recomputed and the occupancy counter filled;
-//   4. observer hooks fire, in pack order: begin_round (serial setup),
-//      fill (auxiliary occupancy counting), after_round (per-agent
-//      reads, seeing the round's keys, the occupancy counter, the
-//      positions if asked for, and the generator for noise draws), and
-//      end_round (cross-agent snapshots).
+//   1. begin_round hooks (serial setup, e.g. clearing aux counters);
+//   2. step: every agent moves — the batched topology API when the walk
+//      is not lazy, the per-agent Bernoulli/step loop when it is — then
+//      the model rewrites moves the mutated world blocks;
+//   3. key + count: keys are recomputed and the occupancy counter filled
+//      (dead agents masked out);
+//   4. fill hooks (auxiliary occupancy counting);
+//   5. after_round hooks (per-agent reads of the round's keys, the
+//      occupancy counter, the positions if asked for, and the view's
+//      generator for noise draws);
+//   6. end_round hooks (serial cross-agent snapshots).
 //
-// Observers are a compile-time pack, so the round loop inlines their
-// hooks with zero dispatch cost — the engine with a single
-// CollisionObserver compiles to the same code shape as the original
-// run_density_walk.  Generator-stream compatibility with the legacy
-// loops is part of the contract (tests/test_walk_engine.cpp pins it
-// bit-for-bit); the one deliberate re-golden is the detection-miss path,
-// which now uses a single binomial draw per agent (rng::binomial)
-// instead of a per-partner Bernoulli loop.
+// What differs between engines is a compile-time execution policy —
+// the `exec` argument — and each engine name is one fixed policy:
+//   - SingleExec (engine=single): one Xoshiro256pp stream over the whole
+//     population, hash CollisionCounter.  The historical stream;
+//     tests/test_walk_engine.cpp pins it against the frozen pre-engine
+//     loops in sim/legacy_reference.hpp.
+//   - ShardExec (engine=sharded): contiguous ShardPlan ranges, each on
+//     its own rng::derive_stream(stream_seed, shard), counted into the
+//     lock-free ConcurrentCollisionCounter.  Steps 2-4 run as one
+//     parallel phase over the shards and step 5 as a second, so a round
+//     costs two WorkerPool dispatches.  Randomness is keyed by shard,
+//     never by thread: output is a pure function of (stream_seed, cfg,
+//     shard_size) for ANY thread count (tests/test_sharded_walk.cpp).
+//   - VectorExec (engine=vector): one rng::WideStream (kWideLanes
+//     xoshiro lanes, lane-interleaved) driving graph::vector_step's
+//     branchless kernels, the direct-addressed DenseCollisionCounter
+//     when use_dense_counter allows it (hash counter otherwise; counts
+//     are identical), and observer noise from a scalar stream at
+//     kVectorObserverTag so movement and noise stay separated.
+// Each policy's stream layout is an identity choice: the three engines
+// define three different (equally valid) samples, pinned by their own
+// goldens.
 //
-// The hooks work on a *view* that names an agent range [begin_agent,
-// end_agent): run_walk always passes the full population, while the
-// sharded engine (sim/sharded_walk.hpp) drives the same observers one
-// shard at a time, against a concurrent counter and per-shard
-// generators.  Observer state indexed by agent id is therefore written
-// in disjoint slices, which is what makes the sharded merge free and
-// thread-count-invariant.
+// Observers are a compile-time pack, so the loop inlines their hooks
+// with zero dispatch cost.  Hooks see a *view* naming an agent range
+// [begin_agent, end_agent): the whole population under single and
+// vector, one shard at a time (concurrently) under sharded.  Observer
+// state indexed by agent id is therefore written in disjoint slices,
+// which is what makes the sharded merge free and thread-count-invariant.
 #pragma once
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 #include "graph/topology.hpp"
+#include "graph/vector_step.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
+#include "rng/splitmix64.hpp"
 #include "rng/stream.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "rng/xoshiro_wide.hpp"
 #include "sim/collision_counter.hpp"
 #include "sim/concurrent_counter.hpp"
+#include "sim/dense_counter.hpp"
 #include "sim/dynamics.hpp"
 #include "util/check.hpp"
+#include "util/parallel.hpp"
+#include "util/worker_pool.hpp"
 
 namespace antdense::sim {
 
@@ -64,19 +87,75 @@ struct WalkConfig {
   double lazy_probability = 0.0;
   /// Optional world-mutation model (sim/dynamics.hpp), not owned; null
   /// means the historical static walk, bit for bit.  Requires a
-  /// uint64-node topology (the scenario layer's AnyTopology) and the
-  /// single or sharded engine.
+  /// uint64-node topology (the scenario layer's AnyTopology); every
+  /// engine supports it.
   WorldDynamics* dynamics = nullptr;
 
   void validate() const;
 };
 
+/// Deterministic decomposition of a population into contiguous shards.
+/// The shard grain is part of the output contract (it decides which
+/// stream steps which agent), so it is a parameter with a fixed default,
+/// never a function of the machine.
+struct ShardPlan {
+  /// Default agents-per-shard: small enough that a 100k-agent walk
+  /// exposes ~25-way parallelism, large enough that per-shard phase
+  /// overhead is noise.
+  static constexpr std::uint32_t kDefaultShardSize = 4096;
+
+  std::uint32_t num_agents = 0;
+  std::uint32_t shard_size = kDefaultShardSize;
+
+  static ShardPlan make(std::uint32_t num_agents,
+                        std::uint32_t shard_size = kDefaultShardSize);
+
+  std::uint32_t num_shards() const {
+    return (num_agents + shard_size - 1) / shard_size;
+  }
+  std::uint32_t begin(std::uint32_t shard) const {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        num_agents, static_cast<std::uint64_t>(shard) * shard_size));
+  }
+  std::uint32_t end(std::uint32_t shard) const {
+    return static_cast<std::uint32_t>(std::min<std::uint64_t>(
+        num_agents, (static_cast<std::uint64_t>(shard) + 1) * shard_size));
+  }
+};
+
+/// engine=single: one scalar stream, hash counter.
+struct SingleExec {};
+
+/// engine=sharded.  `threads` never changes results; `shard_size` does
+/// (it reassigns agents to streams).
+struct ShardExec {
+  unsigned threads = 0;  // worker threads; 0 = one per core
+  std::uint32_t shard_size = ShardPlan::kDefaultShardSize;
+};
+
+/// engine=vector.  Results are independent of this knob.
+struct VectorExec {
+  /// Forces the hash CollisionCounter even when the dense counter would
+  /// apply; the dense/hash equality tests run both sides through this.
+  bool force_hash_counter = false;
+};
+
+/// The three execution policies run_walk accepts.
+template <typename E>
+concept ExecPolicy = std::same_as<E, SingleExec> ||
+                     std::same_as<E, ShardExec> ||
+                     std::same_as<E, VectorExec>;
+
+/// Domain-separation tag ("VECOBSRV") for the vector engine's observer
+/// noise generator, disjoint from the movement lanes (kVectorLaneTag).
+inline constexpr std::uint64_t kVectorObserverTag = 0x5645434F42535256ULL;
+
 /// What an observer sees at the end of each round.  Everything is a view
 /// into engine state; observers must not hold onto it past the call.
 /// `gen` is the generator whose draws are reproducible for this view's
-/// agent range — the engine's single stream in run_walk, the shard's
-/// private stream in run_walk_sharded.  Observers that draw from it
-/// (noise models) become part of the reproducible stream, in pack order.
+/// agent range — the single stream, the shard's private stream, or the
+/// vector engine's observer stream.  Observers that draw from it (noise
+/// models) become part of the reproducible stream, in pack order.
 /// Hooks must only write observer state belonging to agents in
 /// [begin_agent, end_agent); the sharded engine runs hooks for distinct
 /// ranges concurrently.
@@ -94,21 +173,19 @@ struct BasicRoundView {
   bool concurrent_fill = false;
 };
 
+/// The single engine's view (also vector's beyond the dense-counter cap).
 using RoundView = BasicRoundView<CollisionCounter>;
-/// The sharded engine's view: same shape, lock-free counter.
-using ShardRoundView = BasicRoundView<ConcurrentCollisionCounter>;
 
 /// An observer is any type with at least one per-round hook:
 /// `after_round(view)`, `after_round(view, positions)` (node handles,
 /// not keys), or `end_round(round)`.  Optional hooks: `begin_round
-/// (round)` (serial, before the round's fills) and `fill(view)`
-/// (auxiliary occupancy counting between stepping and after_round).
+/// (round)` (serial, before the round's steps) and `fill(view)`
+/// (auxiliary occupancy counting between counting and after_round).
 ///
-/// The concept is checked against the *actual* view type each engine
-/// passes (RoundView for run_walk, ShardRoundView for run_walk_sharded):
-/// the notify helpers skip hooks a view type cannot call, so without
-/// this check an observer written against the wrong view would compile
-/// and silently record nothing.
+/// run_walk checks the concept against the *actual* view type the
+/// policy passes: the notify helpers skip hooks a view type cannot
+/// call, so without this check an observer written against the wrong
+/// view would compile and silently record nothing.
 template <typename O, typename Node, typename View>
 concept WalkObserverForView =
     requires(O& o, const View& v, std::span<const Node> pos,
@@ -117,9 +194,6 @@ concept WalkObserverForView =
                    requires { o.after_round(v, pos); } ||
                    requires { o.end_round(round); };
     };
-
-template <typename O, typename Node>
-concept WalkObserverFor = WalkObserverForView<O, Node, RoundView>;
 
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious
@@ -331,54 +405,176 @@ inline void notify_end_round(Obs& obs, std::uint32_t round) {
   }
 }
 
-}  // namespace detail
+/// One contiguous agent range [begin, end) and the stream that places
+/// and steps it.
+template <typename Gen>
+struct Lane {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  Gen gen;
+};
 
-/// Runs the synchronous round loop: place agents (uniform i.i.d., or the
-/// caller's `initial_positions`), step them `cfg.rounds` times, fill the
-/// occupancy counter, and fire every observer hook after each round.
-/// `stream_seed` seeds the generator directly — callers that expose a
-/// user-facing seed derive their own stream tag first (see
-/// run_density_walk).  Deterministic in `stream_seed`.
-template <graph::Topology T, class... Obs>
-  requires(WalkObserverFor<Obs, typename T::node_type> && ...)
-void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
-              const std::vector<typename T::node_type>* initial_positions,
-              Obs&... observers) {
-  cfg.validate();
+// Stream layout and partition, one overload per policy.
+inline std::vector<Lane<rng::Xoshiro256pp>> make_lanes(
+    const SingleExec&, std::uint32_t n_agents, std::uint64_t stream_seed) {
+  return {{0, n_agents, rng::Xoshiro256pp(stream_seed)}};
+}
+
+inline std::vector<Lane<rng::Xoshiro256pp>> make_lanes(
+    const ShardExec& exec, std::uint32_t n_agents,
+    std::uint64_t stream_seed) {
+  const ShardPlan plan = ShardPlan::make(n_agents, exec.shard_size);
+  std::vector<Lane<rng::Xoshiro256pp>> lanes;
+  lanes.reserve(plan.num_shards());
+  for (std::uint32_t s = 0; s < plan.num_shards(); ++s) {
+    lanes.push_back({plan.begin(s), plan.end(s),
+                     rng::Xoshiro256pp(rng::derive_stream(stream_seed, s))});
+  }
+  return lanes;
+}
+
+inline std::vector<Lane<rng::WideStream>> make_lanes(
+    const VectorExec&, std::uint32_t n_agents, std::uint64_t stream_seed) {
+  return {{0, n_agents, rng::WideStream(stream_seed)}};
+}
+
+/// Threads the policy steps one walk with: only sharded goes wide.
+template <ExecPolicy Exec>
+unsigned walk_threads(const Exec& exec, std::size_t n_lanes) {
+  if constexpr (std::is_same_v<Exec, ShardExec>) {
+    const unsigned want =
+        exec.threads == 0 ? util::default_thread_count() : exec.threads;
+    return static_cast<unsigned>(std::min<std::size_t>(want, n_lanes));
+  } else {
+    return 1;
+  }
+}
+
+/// Non-lazy step of one lane: the scalar batched topology API, or the
+/// wide stream's vectorized kernels.
+template <graph::Topology T>
+void step_lane(const T& topo, std::span<typename T::node_type> pos,
+               rng::Xoshiro256pp& gen) {
+  graph::random_neighbors(
+      topo, std::span<const typename T::node_type>(pos), pos, gen);
+}
+
+template <graph::Topology T>
+void step_lane(const T& topo, std::span<typename T::node_type> pos,
+               rng::WideStream& gen) {
+  graph::vector_step(topo, pos, gen);
+}
+
+/// Counts agents [b, e) at their keys, skipping those `mask` (null =
+/// count all) marks dead.  The dense counter gets a prefetch lookahead
+/// (random keys defeat the hardware prefetcher); the concurrent counter
+/// takes its plain-speed path unless shards count at once.
+template <typename Counter>
+void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
+                const std::uint8_t* mask, std::uint32_t b, std::uint32_t e,
+                bool concurrent) {
+  const auto add = [&](std::uint64_t key) {
+    if constexpr (std::is_same_v<Counter, ConcurrentCollisionCounter>) {
+      concurrent ? counter.add(key) : counter.add_serial(key);
+    } else {
+      counter.add(key);
+    }
+  };
+  if (mask != nullptr) {
+    for (std::uint32_t i = b; i < e; ++i) {
+      if (mask[i] != 0) {
+        add(keys[i]);
+      }
+    }
+  } else if constexpr (std::is_same_v<Counter, DenseCollisionCounter>) {
+    constexpr std::uint32_t kAhead = 8;
+    for (std::uint32_t i = b; i < e; ++i) {
+      if (i + kAhead < e) {
+        counter.prefetch(keys[i + kAhead]);
+      }
+      counter.add(keys[i]);
+    }
+  } else {
+    for (std::uint32_t i = b; i < e; ++i) {
+      add(keys[i]);
+    }
+  }
+}
+
+/// Dynamics models work on uint64 node handles (graph::AnyTopology);
+/// any other substrate must not carry one.
+template <typename Node>
+WorldDynamics* dynamics_of(const WalkConfig& cfg) {
+  if constexpr (std::is_same_v<Node, std::uint64_t>) {
+    return cfg.dynamics;
+  } else {
+    ANTDENSE_CHECK(cfg.dynamics == nullptr,
+                   "dynamics models require a uint64-node topology "
+                   "(run via graph::AnyTopology)");
+    return nullptr;
+  }
+}
+
+/// Positions as the span a model takes (empty, and never used, for
+/// node types dynamics_of rejects).
+template <typename Node>
+std::span<std::uint64_t> model_span(std::vector<Node>& pos) {
+  if constexpr (std::is_same_v<Node, std::uint64_t>) {
+    return pos;
+  } else {
+    return {};
+  }
+}
+
+/// The round loop behind run_walk, for one policy and counter.
+template <graph::Topology T, ExecPolicy Exec, typename Counter,
+          class... Obs>
+void run_rounds(const T& topo, const WalkConfig& cfg,
+                std::uint64_t stream_seed, const Exec& exec,
+                Counter& counter,
+                const std::vector<typename T::node_type>* initial_positions,
+                Obs&... observers) {
   using node = typename T::node_type;
+  using View = BasicRoundView<Counter>;
+  static_assert((WalkObserverForView<Obs, node, View> && ...),
+                "every observer needs a hook callable with this engine's "
+                "round view");
   const std::uint32_t n_agents = cfg.num_agents;
-  ANTDENSE_CHECK(initial_positions == nullptr ||
-                     initial_positions->size() == n_agents,
-                 "initial positions must match agent count");
 
-  rng::Xoshiro256pp gen(stream_seed);
+  auto lanes = make_lanes(exec, n_agents, stream_seed);
+  using LaneT = typename decltype(lanes)::value_type;
+  rng::Xoshiro256pp vector_obs_gen(
+      rng::derive_seed(stream_seed, kVectorObserverTag));
+  const auto observer_gen = [&](LaneT& lane) -> rng::Xoshiro256pp& {
+    if constexpr (std::is_same_v<Exec, VectorExec>) {
+      return vector_obs_gen;
+    } else {
+      return lane.gen;
+    }
+  };
+
+  // Placement draws come from each lane's own stream, so placement is
+  // as thread-count-invariant as the walk itself.
   std::vector<node> pos(n_agents);
   if (initial_positions != nullptr) {
     pos = *initial_positions;
   } else {
-    for (auto& p : pos) {
-      p = topo.random_node(gen);
+    for (LaneT& lane : lanes) {
+      for (std::uint32_t i = lane.begin; i < lane.end; ++i) {
+        pos[i] = topo.random_node(lane.gen);
+      }
     }
   }
 
   std::vector<std::uint64_t> keys(n_agents);
-  CollisionCounter counter(n_agents);
   const bool lazy = cfg.lazy_probability > 0.0;
+  const unsigned threads = walk_threads(exec, lanes.size());
+  const bool concurrent = threads > 1;
 
-#if ANTDENSE_DYNAMICS
-  // Dynamics plumbing (sim/dynamics.hpp): dormant — null model, no
-  // copies, per-round branches only — for static walks, whose stream
-  // and output stay bit-identical to the historical goldens.  The
-  // mutation generator is its own domain-tagged stream; the walk
-  // stream `gen` is never touched by dynamics.
-  constexpr bool kDynCapable = std::is_same_v<node, std::uint64_t>;
-  WorldDynamics* dyn = cfg.dynamics;
-  if constexpr (!kDynCapable) {
-    ANTDENSE_CHECK(dyn == nullptr,
-                   "dynamics models require a uint64-node topology "
-                   "(run via graph::AnyTopology)");
-    dyn = nullptr;
-  }
+  // Dynamics plumbing: dormant — null model, no copies, per-round
+  // branches only — for static walks.  The mutation generator is its
+  // own domain-tagged stream; the walk streams never see it.
+  WorldDynamics* const dyn = dynamics_of<node>(cfg);
   const bool rewrites = dyn != nullptr && dyn->rewrites_moves();
   const std::uint8_t* const count_mask =
       dyn != nullptr ? dyn->count_mask() : nullptr;
@@ -386,98 +582,171 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
       dyn != nullptr
           ? rng::derive_mutation_stream(stream_seed, dyn->model_seed())
           : 0);
-  std::vector<node> prev;
-#else
-  ANTDENSE_CHECK(cfg.dynamics == nullptr,
-                 "this build was configured with ANTDENSE_DYNAMICS=OFF");
-#endif
+  std::vector<node> prev(rewrites ? n_agents : 0);
 
-  obs::EngineTap tap("single", {"step", "count", "observe", "mutate"});
-  for (std::uint32_t r = 1; r <= cfg.rounds; ++r) {
+  // Sharded fuses step and count into one parallel phase, so it times
+  // them as one.
+  constexpr bool kFused = std::is_same_v<Exec, ShardExec>;
+  constexpr std::size_t kObservePhase = kFused ? 1 : 2;
+  constexpr std::size_t kMutatePhase = kObservePhase + 1;
+  obs::EngineTap tap = [] {
+    if constexpr (std::is_same_v<Exec, SingleExec>) {
+      return obs::EngineTap("single", {"step", "count", "observe", "mutate"});
+    } else if constexpr (std::is_same_v<Exec, ShardExec>) {
+      return obs::EngineTap("sharded", {"step_count", "observe", "mutate"});
+    } else {
+      return obs::EngineTap("vector", {"step", "count", "observe", "mutate"});
+    }
+  }();
+
+  std::uint32_t round = 0;
+  const std::span<const node> positions(pos);
+  const auto view_of = [&](LaneT& lane) {
+    return View{round,
+                lane.begin,
+                lane.end,
+                n_agents,
+                std::span<const std::uint64_t>(keys),
+                counter,
+                observer_gen(lane),
+                concurrent};
+  };
+  const auto step = [&](LaneT& lane) {
+    const std::uint32_t b = lane.begin;
+    const std::uint32_t e = lane.end;
+    if (rewrites) {
+      // After mutation, which may relocate evicted or reborn agents.
+      std::copy(pos.begin() + b, pos.begin() + e, prev.begin() + b);
+    }
+    if (lazy) {
+      // Interleaved stay/step draws: the stream stays one flat sequence
+      // regardless of who moved, so no batching here.
+      for (std::uint32_t i = b; i < e; ++i) {
+        if (!rng::bernoulli(lane.gen, cfg.lazy_probability)) {
+          pos[i] = topo.random_neighbor(pos[i], lane.gen);
+        }
+      }
+    } else {
+      step_lane(topo, std::span<node>(pos).subspan(b, e - b), lane.gen);
+    }
+    if (rewrites) {
+      // Deterministic veto/deflection of moves the mutated world
+      // blocks: the walk stream drew the step exactly as a static walk
+      // would have.
+      dyn->rewrite_moves(model_span(prev), model_span(pos), b, e);
+    }
+  };
+  const auto count = [&](LaneT& lane) {
+    const std::uint32_t b = lane.begin;
+    const std::uint32_t e = lane.end;
+    graph::node_keys(topo, positions.subspan(b, e - b),
+                     std::span<std::uint64_t>(keys).subspan(b, e - b));
+    count_lane(counter, keys, count_mask, b, e, concurrent);
+  };
+  const auto fill = [&](LaneT& lane) {
+    const View view = view_of(lane);
+    (detail::notify_fill(observers, view, positions), ...);
+  };
+  const auto observe = [&](LaneT& lane) {
+    const View view = view_of(lane);
+    (detail::notify_after_round(observers, view, positions), ...);
+  };
+
+  // Sharded: the pool outlives the round loop, so each phase is a
+  // condvar wake, not a thread spawn, and the phase functions are
+  // wrapped in std::function once rather than per dispatch.  One thread
+  // runs the same shards in the same order, so its output is identical.
+  std::unique_ptr<util::WorkerPool> pool;
+  std::function<void(std::size_t)> phase_a;  // step, count, fill
+  std::function<void(std::size_t)> phase_b;  // after_round
+  if constexpr (kFused) {
+    phase_a = [&](std::size_t s) {
+      step(lanes[s]);
+      count(lanes[s]);
+      fill(lanes[s]);
+    };
+    phase_b = [&](std::size_t s) { observe(lanes[s]); };
+    if (concurrent) {
+      pool = std::make_unique<util::WorkerPool>(threads);
+    }
+  }
+  const auto dispatch = [&](const std::function<void(std::size_t)>& phase) {
+    if (concurrent) {
+      pool->run(lanes.size(), phase);
+    } else {
+      for (std::size_t s = 0; s < lanes.size(); ++s) {
+        phase(s);
+      }
+    }
+  };
+
+  for (round = 1; round <= cfg.rounds; ++round) {
     counter.begin_round();
-#if ANTDENSE_DYNAMICS
-    if constexpr (kDynCapable) {
-      if (dyn != nullptr) {
-        // The world is pristine in round 1 (the mutation phase runs
-        // *between* rounds); mutation may relocate evicted or reborn
-        // agents, so the pre-step snapshot for move rewriting is taken
-        // after it.
-        if (r > 1) {
-          const obs::EngineTap::PhaseSpan phase(tap, 3);
-          dyn->mutate(r, mut_gen, std::span<std::uint64_t>(pos));
-        }
-        if (rewrites) {
-          prev = pos;
-        }
-      }
+    if (dyn != nullptr && round > 1) {
+      // The world is pristine in round 1: mutation runs between rounds.
+      const obs::EngineTap::PhaseSpan phase(tap, kMutatePhase);
+      dyn->mutate(round, mut_gen, model_span(pos));
     }
-#endif
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 0);
-      if (lazy) {
-        // Interleaved stay/step draws — must match the legacy stream,
-        // so no batching here.
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          if (!rng::bernoulli(gen, cfg.lazy_probability)) {
-            pos[i] = topo.random_neighbor(pos[i], gen);
-          }
-        }
-      } else {
-        graph::random_neighbors(topo, std::span<const node>(pos),
-                                std::span<node>(pos), gen);
+    (detail::notify_begin_round(observers, round), ...);
+    if constexpr (kFused) {
+      {
+        const obs::EngineTap::PhaseSpan phase(tap, 0);
+        dispatch(phase_a);
       }
-    }
-#if ANTDENSE_DYNAMICS
-    if constexpr (kDynCapable) {
-      if (rewrites) {
-        // Deterministic post-step veto/deflection of moves blocked by
-        // the mutated world: the walk stream drew the step exactly as
-        // the static engine would have.
-        dyn->rewrite_moves(prev, pos, 0, n_agents);
+      const obs::EngineTap::PhaseSpan phase(tap, kObservePhase);
+      dispatch(phase_b);
+    } else {
+      LaneT& lane = lanes.front();
+      {
+        const obs::EngineTap::PhaseSpan phase(tap, 0);
+        step(lane);
       }
-    }
-#endif
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 1);
-      graph::node_keys(topo, std::span<const node>(pos),
-                       std::span<std::uint64_t>(keys));
-#if ANTDENSE_DYNAMICS
-      if (count_mask != nullptr) {
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          if (count_mask[i] != 0) {
-            counter.add(keys[i]);
-          }
-        }
-      } else {
-        for (std::uint32_t i = 0; i < n_agents; ++i) {
-          counter.add(keys[i]);
-        }
+      {
+        const obs::EngineTap::PhaseSpan phase(tap, 1);
+        count(lane);
       }
-#else
-      for (std::uint32_t i = 0; i < n_agents; ++i) {
-        counter.add(keys[i]);
-      }
-#endif
+      const obs::EngineTap::PhaseSpan phase(tap, kObservePhase);
+      fill(lane);
+      observe(lane);
     }
-    const RoundView view{r,
-                         0,
-                         n_agents,
-                         n_agents,
-                         std::span<const std::uint64_t>(keys),
-                         counter,
-                         gen,
-                         /*concurrent_fill=*/false};
-    const std::span<const node> positions(pos);
-    {
-      const obs::EngineTap::PhaseSpan phase(tap, 2);
-      (detail::notify_begin_round(observers, r), ...);
-      (detail::notify_fill(observers, view, positions), ...);
-      (detail::notify_after_round(observers, view, positions), ...);
-      (detail::notify_end_round(observers, r), ...);
-    }
+    (detail::notify_end_round(observers, round), ...);
   }
   tap.add_rounds(cfg.rounds);
   tap.add_agent_steps(static_cast<std::uint64_t>(cfg.rounds) * n_agents);
+}
+
+}  // namespace detail
+
+/// Runs the synchronous round loop under execution policy `exec`: place
+/// agents (uniform i.i.d. from the policy's streams, or the caller's
+/// `initial_positions`), step them `cfg.rounds` times, count occupancy,
+/// and fire every observer hook each round.  `stream_seed` seeds the
+/// policy's streams directly — callers that expose a user-facing seed
+/// derive their own stream tag first (see run_density_walk).
+/// Deterministic in `stream_seed` (and ShardExec::shard_size); never in
+/// ShardExec::threads or VectorExec.
+template <graph::Topology T, ExecPolicy Exec, class... Obs>
+void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
+              const Exec& exec,
+              const std::vector<typename T::node_type>* initial_positions,
+              Obs&... observers) {
+  cfg.validate();
+  ANTDENSE_CHECK(initial_positions == nullptr ||
+                     initial_positions->size() == cfg.num_agents,
+                 "initial positions must match agent count");
+  if constexpr (std::is_same_v<Exec, VectorExec>) {
+    if (!exec.force_hash_counter && use_dense_counter(topo.num_nodes())) {
+      DenseCollisionCounter counter(topo.num_nodes());
+      detail::run_rounds(topo, cfg, stream_seed, exec, counter,
+                         initial_positions, observers...);
+      return;
+    }
+  }
+  std::conditional_t<std::is_same_v<Exec, ShardExec>,
+                     ConcurrentCollisionCounter, CollisionCounter>
+      counter(cfg.num_agents);
+  detail::run_rounds(topo, cfg, stream_seed, exec, counter, initial_positions,
+                     observers...);
 }
 
 }  // namespace antdense::sim

@@ -149,7 +149,7 @@ TEST(RunDensityWalk, CustomInitialPositionsRespected) {
   constexpr int kTrials = 8000;
   for (int trial = 0; trial < kTrials; ++trial) {
     const DensityResult r =
-        run_density_walk(torus, cfg, 3000 + trial, &start);
+        run_density_walk(torus, cfg, 3000 + trial, {}, &start);
     collisions += r.collision_counts[0] > 0 ? 1 : 0;
   }
   EXPECT_NEAR(static_cast<double>(collisions) / kTrials, 0.25, 0.02);
@@ -161,7 +161,7 @@ TEST(RunDensityWalk, InitialPositionSizeMismatchThrows) {
   cfg.num_agents = 3;
   cfg.rounds = 1;
   std::vector<Torus2D::node_type> start{Torus2D::pack(0, 0)};
-  EXPECT_THROW(run_density_walk(torus, cfg, 1, &start),
+  EXPECT_THROW(run_density_walk(torus, cfg, 1, {}, &start),
                std::invalid_argument);
 }
 

@@ -28,7 +28,7 @@
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
-#include "sim/sharded_walk.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/hash.hpp"
 #include "util/json.hpp"
 
@@ -180,6 +180,11 @@ TEST(DynamicScenarios, DynamicResultsArePinned) {
            "rounds":20,"seed":4,"lazy":0.2,"miss":0.1,"engine":"sharded",
            "threads":3,"dynamics":"fade:p0=0.2,step=0.05"})",
        "f9f40fb4c0366c5a"},
+      // engine=vector runs the same mutate phase on its own walk stream.
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":30,"seed":3,"engine":"vector",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       "353f81c74e28e853"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
@@ -200,7 +205,7 @@ TEST(DynamicScenarios, ShardedChurnIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::ChurnDynamics model(topo, /*p_edge=*/0.05, /*p_fail=*/0.02,
                              /*mean_down=*/6, /*seed=*/4);
-    return sim::run_dynamic_density_walk_sharded(
+    return sim::run_dynamic_density_walk(
         topo, cfg, model, /*seed=*/21, sim::ShardExec{.threads = threads});
   };
   const std::vector<double> one = run_with(1);
@@ -217,7 +222,7 @@ TEST(DynamicScenarios, ShardedDriftIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::DriftDynamics model(topo, cfg.num_agents, /*p_death=*/0.05,
                              /*p_birth=*/0.08, /*seed=*/2);
-    return sim::run_dynamic_density_walk_sharded(
+    return sim::run_dynamic_density_walk(
         topo, cfg, model, /*seed=*/5, sim::ShardExec{.threads = threads});
   };
   const std::vector<double> one = run_with(1);
@@ -244,12 +249,12 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
          "stream bit for bit (single engine)";
 
   const std::vector<double> expected_sharded =
-      sim::run_density_walk_sharded(topo, cfg, /*seed=*/13,
-                                    sim::ShardExec{.threads = 2})
+      sim::run_density_walk(topo, cfg, /*seed=*/13,
+                            sim::ShardExec{.threads = 2})
           .estimates();
   sim::ChurnDynamics churn2(topo, 0.0, 0.0, 10, 0);
-  EXPECT_EQ(sim::run_dynamic_density_walk_sharded(
-                topo, cfg, churn2, 13, sim::ShardExec{.threads = 2}),
+  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, churn2, 13,
+                                          sim::ShardExec{.threads = 2}),
             expected_sharded)
       << "and on the sharded engine";
 
@@ -263,7 +268,7 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
 // ---------------------------------------------------------------------
 
 TEST(DynamicScenarios, ExperimentRunsDynamicDensityOnBothEngines) {
-  for (const char* engine : {"single", "sharded"}) {
+  for (const char* engine : {"single", "sharded", "vector"}) {
     const ScenarioSpec spec = spec_of(
         std::string(R"({"topology":"torus2d:16x16","workload":"density",)") +
         R"("agents":32,"rounds":20,"seed":3,)" +

@@ -24,7 +24,6 @@
 #include "scenario/registry.hpp"
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/vector_walk.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/json.hpp"
 
@@ -368,38 +367,27 @@ TEST(Identity, DynamicSpellingVariantsCollapseToOneHash) {
 }
 
 // ---------------------------------------------------------------------
-// Fail-fast: the vector engine has no mutation phase
+// The vector engine runs dynamics through the same mutate phase
 // ---------------------------------------------------------------------
 
-TEST(Validation, VectorEngineRejectsDynamicsAtSpecValidationTime) {
+TEST(Validation, VectorEngineAcceptsDynamics) {
   ScenarioSpec spec;
   spec.engine = EngineMode::kVector;
   spec.dynamics = "churn:p_edge=0.01,p_fail=0";
-  try {
-    spec.validate();
-    FAIL() << "expected validate() to reject engine=vector + dynamics";
-  } catch (const std::invalid_argument& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("engine=vector"), std::string::npos);
-    EXPECT_NE(what.find("engine=single or engine=sharded"),
-              std::string::npos);
-  }
-  spec.engine = EngineMode::kSharded;
   EXPECT_NO_THROW(spec.validate());
 }
 
-TEST(Validation, VectorWalkRejectsDynamicsAsDefenseInDepth) {
+TEST(Validation, VectorZeroRateChurnEqualsTheStaticVectorWalk) {
   const graph::AnyTopology topo = Registry::built_in().make("ring:64");
-  sim::ChurnDynamics model(topo, 0.1, 0.0, 10, 1);
   sim::DensityConfig cfg;
   cfg.num_agents = 8;
-  cfg.rounds = 4;
-  sim::WalkConfig wcfg = cfg.walk_config();
-  wcfg.dynamics = &model;
-  sim::CollisionObserver observer(8);
-  EXPECT_THROW(sim::run_walk_vector(topo, wcfg, 1, sim::VectorExec{},
-                                    nullptr, observer),
-               std::invalid_argument);
+  cfg.rounds = 40;
+  const std::vector<double> expected =
+      sim::run_density_walk(topo, cfg, 1, sim::VectorExec{}).estimates();
+  sim::ChurnDynamics model(topo, 0.0, 0.0, 10, 1);
+  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, model, 1,
+                                          sim::VectorExec{}),
+            expected);
 }
 
 TEST(Validation, DynamicsRestrictedToDensityWorkload) {

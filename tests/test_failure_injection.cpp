@@ -80,7 +80,7 @@ TEST(FailureInjection, ClusteredPlacementInflatesShortRunEstimates) {
   stats::Accumulator acc;
   for (std::uint64_t trial = 0; trial < 60; ++trial) {
     const DensityResult r =
-        run_density_walk(torus, cfg, 400 + trial, &clustered);
+        run_density_walk(torus, cfg, 400 + trial, {}, &clustered);
     for (double e : r.estimates()) {
       acc.add(e);
     }
@@ -107,7 +107,7 @@ TEST(FailureInjection, ClusteredPlacementHealsOverLongRuns) {
     stats::Accumulator acc;
     for (std::uint64_t trial = 0; trial < 30; ++trial) {
       const DensityResult r =
-          run_density_walk(torus, cfg, seed + trial, &clustered);
+          run_density_walk(torus, cfg, seed + trial, {}, &clustered);
       for (double e : r.estimates()) {
         acc.add(e);
       }

@@ -20,7 +20,7 @@
 #include "scenario/experiment.hpp"
 #include "scenario/spec.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/sharded_walk.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/json.hpp"
 
 namespace antdense::obs {
@@ -90,7 +90,7 @@ TEST(ObsTelemetry, ShardedCountersAreExactAndThreadCountInvariant) {
       ScopedTelemetry ambient(&telemetry);
       // shard_size 16 forces multiple shards, so with threads > 1 the
       // striped adds really do come from concurrent pool workers.
-      return sim::run_density_walk_sharded(
+      return sim::run_density_walk(
           topo, cfg, /*seed=*/77,
           sim::ShardExec{.threads = threads, .shard_size = 16});
     }();

@@ -1,5 +1,5 @@
 // Tests for rng::derive_stream — the sharded engine's per-shard seed
-// splitter.  Two properties are contractual (sim/sharded_walk.hpp
+// splitter.  Two properties are contractual (sim::ShardExec
 // reproducibility rests on them): the mapping is platform-stable (pure
 // 64-bit arithmetic, pinned here against golden values computed once),
 // and distinct shards yield statistically independent generator

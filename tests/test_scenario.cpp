@@ -659,7 +659,8 @@ TEST(BallDensity, MatchesTorus2DLocalDensityObserverExactly) {
     sim::WalkConfig cfg;
     cfg.num_agents = 35;
     cfg.rounds = checkpoints.back();
-    sim::run_walk(torus, cfg, 0xBA11u, nullptr, specialized, generic);
+    sim::run_walk(torus, cfg, 0xBA11u, sim::SingleExec{}, nullptr,
+                  specialized, generic);
     EXPECT_EQ(specialized.densities(), generic.densities());
   }
 }

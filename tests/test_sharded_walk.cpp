@@ -1,5 +1,5 @@
 // Differential tests pinning the sharded engine's determinism contract
-// (sim/sharded_walk.hpp): for a fixed (seed, config, shard grain), the
+// (engine=sharded, sim/walk_engine.hpp): for a fixed (seed, config, shard grain), the
 // merged output is bit-identical for ANY thread count — threads ∈
 // {1, 2, 8} here — across every topology family and every workload
 // observer, including the noise paths that draw from per-shard streams.
@@ -7,7 +7,7 @@
 // serial/concurrent parity, statistical sanity of the sharded stream
 // (Algorithm 1 stays unbiased), and thread-count invariance at the
 // scenario::Experiment level for engine=sharded specs.
-#include "sim/sharded_walk.hpp"
+#include "sim/walk_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -26,6 +26,7 @@
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/concurrent_counter.hpp"
+#include "sim/density_sim.hpp"
 #include "stats/accumulator.hpp"
 #include "util/worker_pool.hpp"
 
@@ -122,10 +123,10 @@ TEST(ConcurrentCounter, EpochInvalidatesPreviousRound) {
 template <graph::Topology T>
 void expect_sharded_threads_agree(const T& topo, const DensityConfig& cfg,
                                   std::uint64_t seed) {
-  const DensityResult reference = run_density_walk_sharded(
+  const DensityResult reference = run_density_walk(
       topo, cfg, seed, ShardExec{.threads = 1, .shard_size = kTestShardSize});
   for (unsigned threads : kThreadCounts) {
-    const DensityResult r = run_density_walk_sharded(
+    const DensityResult r = run_density_walk(
         topo, cfg, seed,
         ShardExec{.threads = threads, .shard_size = kTestShardSize});
     EXPECT_EQ(r.collision_counts, reference.collision_counts)
@@ -178,11 +179,11 @@ TEST(ShardedEquivalence, InitialPositionsThreadsAgree) {
   for (std::uint32_t i = 0; i < cfg.num_agents; ++i) {
     start.push_back(Torus2D::pack(i % 4, i / 16));
   }
-  const DensityResult reference = run_density_walk_sharded(
+  const DensityResult reference = run_density_walk(
       torus, cfg, 41, ShardExec{.threads = 1, .shard_size = kTestShardSize},
       &start);
   for (unsigned threads : kThreadCounts) {
-    const DensityResult r = run_density_walk_sharded(
+    const DensityResult r = run_density_walk(
         torus, cfg, 41,
         ShardExec{.threads = threads, .shard_size = kTestShardSize}, &start);
     EXPECT_EQ(r.collision_counts, reference.collision_counts);
@@ -196,11 +197,11 @@ TEST(ShardedEquivalence, PropertyWalkThreadsAgree) {
     has_property[i] = true;
   }
   auto check = [&](const auto& topo) {
-    const PropertyResult reference = run_property_walk_sharded(
+    const PropertyResult reference = run_property_walk(
         topo, cfg, has_property, 2,
         ShardExec{.threads = 1, .shard_size = kTestShardSize});
     for (unsigned threads : kThreadCounts) {
-      const PropertyResult r = run_property_walk_sharded(
+      const PropertyResult r = run_property_walk(
           topo, cfg, has_property, 2,
           ShardExec{.threads = threads, .shard_size = kTestShardSize});
       EXPECT_EQ(r.total_counts, reference.total_counts)
@@ -222,12 +223,10 @@ TEST(ShardedEquivalence, TrajectoryThreadsAgree) {
   auto run_at = [&](unsigned threads) {
     CollisionObserver counts(cfg.num_agents);
     TrajectoryObserver trajectory(counts, 6, {5, 20, 60});
-    run_walk_sharded(torus, cfg, 0x7124u,
-                     ShardExec{.threads = threads,
-                               .shard_size = kTestShardSize},
-                     static_cast<const std::vector<Torus2D::node_type>*>(
-                         nullptr),
-                     counts, trajectory);
+    run_walk(torus, cfg, 0x7124u,
+             ShardExec{.threads = threads, .shard_size = kTestShardSize},
+             static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
+             counts, trajectory);
     return trajectory.take_estimates();
   };
   const auto reference = run_at(1);
@@ -244,11 +243,9 @@ TEST(ShardedEquivalence, BallDensityThreadsAgree) {
   cfg.rounds = 24;
   auto run_at = [&](unsigned threads) {
     scenario::BallDensityObserver balls(any, 2, {1, 8, 24}, cfg.num_agents);
-    run_walk_sharded(any, cfg, 0x10Du,
-                     ShardExec{.threads = threads,
-                               .shard_size = kTestShardSize},
-                     static_cast<const std::vector<std::uint64_t>*>(nullptr),
-                     balls);
+    run_walk(any, cfg, 0x10Du,
+             ShardExec{.threads = threads, .shard_size = kTestShardSize},
+             static_cast<const std::vector<std::uint64_t>*>(nullptr), balls);
     return balls.take_densities();
   };
   const auto reference = run_at(1);
@@ -264,9 +261,9 @@ TEST(ShardedContract, ShardSizeIsPartOfTheStream) {
   // grain is identity-bearing — document it by pinning the difference.
   const Torus2D torus(24, 24);
   const DensityConfig cfg = base_config();
-  const DensityResult a = run_density_walk_sharded(
+  const DensityResult a = run_density_walk(
       torus, cfg, 7, ShardExec{.threads = 1, .shard_size = 16});
-  const DensityResult b = run_density_walk_sharded(
+  const DensityResult b = run_density_walk(
       torus, cfg, 7, ShardExec{.threads = 1, .shard_size = 8});
   EXPECT_NE(a.collision_counts, b.collision_counts);
 }
@@ -276,7 +273,7 @@ TEST(ShardedContract, DistinctFromSingleStreamEngine) {
   // single-shard walk is seeded through derive_stream, not the root.
   const Torus2D torus(24, 24);
   const DensityConfig cfg = base_config();
-  const DensityResult sharded = run_density_walk_sharded(
+  const DensityResult sharded = run_density_walk(
       torus, cfg, 7, ShardExec{.threads = 1});
   const DensityResult single = run_density_walk(torus, cfg, 7);
   EXPECT_NE(sharded.collision_counts, single.collision_counts);
@@ -286,8 +283,8 @@ TEST(ShardedContract, DeterministicAcrossRepeatedRuns) {
   const Hypercube cube(10);
   const DensityConfig cfg = base_config();
   const ShardExec exec{.threads = 8, .shard_size = kTestShardSize};
-  const DensityResult a = run_density_walk_sharded(cube, cfg, 9, exec);
-  const DensityResult b = run_density_walk_sharded(cube, cfg, 9, exec);
+  const DensityResult a = run_density_walk(cube, cfg, 9, exec);
+  const DensityResult b = run_density_walk(cube, cfg, 9, exec);
   EXPECT_EQ(a.collision_counts, b.collision_counts);
 }
 
@@ -302,7 +299,7 @@ TEST(ShardedStatistics, DensityEstimatesStayUnbiased) {
   const double d = 49.0 / 256.0;
   stats::Accumulator acc;
   for (std::uint64_t trial = 0; trial < 120; ++trial) {
-    const DensityResult r = run_density_walk_sharded(
+    const DensityResult r = run_density_walk(
         torus, cfg, 900 + trial,
         ShardExec{.threads = 1, .shard_size = kTestShardSize});
     for (double e : r.estimates()) {

@@ -1,4 +1,4 @@
-// The vector engine's contract suite (sim/vector_walk.hpp):
+// The vector engine's contract suite (engine=vector, sim/walk_engine.hpp):
 //   - sequential equivalence: graph::vector_step (word kernels, batched
 //     Lemire, bulk fallback) == per-agent random_neighbor draws from an
 //     equal-seeded WideStream, on every explicit family and through the
@@ -14,7 +14,7 @@
 //     round count;
 //   - scenario facade: engine=vector runs every workload and is
 //     thread-count invariant (threads only fan out trials).
-#include "sim/vector_walk.hpp"
+#include "sim/walk_engine.hpp"
 
 #include <gtest/gtest.h>
 
@@ -39,6 +39,7 @@
 #include "graph/vector_step.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/dense_counter.hpp"
+#include "sim/density_sim.hpp"
 #include "sim/trial_runner.hpp"
 #include "stats/accumulator.hpp"
 
@@ -91,8 +92,9 @@ TEST(VectorEngine, CounterChoiceIsUnobservable) {
   DensityConfig cfg;
   cfg.num_agents = 60;
   cfg.rounds = 100;
-  const DensityResult dense = run_density_walk_vector(torus, cfg, kSeed);
-  const DensityResult hash = run_density_walk_vector(
+  const DensityResult dense =
+      run_density_walk(torus, cfg, kSeed, VectorExec{});
+  const DensityResult hash = run_density_walk(
       torus, cfg, kSeed, VectorExec{.force_hash_counter = true});
   EXPECT_EQ(dense.collision_counts, hash.collision_counts);
 }
@@ -149,14 +151,15 @@ TEST(VectorStep, ErasedMatchesConcrete) {
   const graph::Torus2D torus(32, 32);
   const graph::Ring ring(1000);
   const graph::TorusKD kd(3, 7);
-  EXPECT_EQ(run_density_walk_vector(torus, cfg, kSeed).collision_counts,
-            run_density_walk_vector(graph::AnyTopology(torus), cfg, kSeed)
+  const VectorExec vec;
+  EXPECT_EQ(run_density_walk(torus, cfg, kSeed, vec).collision_counts,
+            run_density_walk(graph::AnyTopology(torus), cfg, kSeed, vec)
                 .collision_counts);
-  EXPECT_EQ(run_density_walk_vector(ring, cfg, kSeed).collision_counts,
-            run_density_walk_vector(graph::AnyTopology(ring), cfg, kSeed)
+  EXPECT_EQ(run_density_walk(ring, cfg, kSeed, vec).collision_counts,
+            run_density_walk(graph::AnyTopology(ring), cfg, kSeed, vec)
                 .collision_counts);
-  EXPECT_EQ(run_density_walk_vector(kd, cfg, kSeed).collision_counts,
-            run_density_walk_vector(graph::AnyTopology(kd), cfg, kSeed)
+  EXPECT_EQ(run_density_walk(kd, cfg, kSeed, vec).collision_counts,
+            run_density_walk(graph::AnyTopology(kd), cfg, kSeed, vec)
                 .collision_counts);
 }
 
@@ -168,8 +171,8 @@ TEST(VectorEngine, LazyWalkMatchesScalarConsumption) {
   cfg.num_agents = 50;
   cfg.rounds = 80;
   cfg.lazy_probability = 0.3;
-  const DensityResult a = run_density_walk_vector(torus, cfg, kSeed);
-  const DensityResult b = run_density_walk_vector(torus, cfg, kSeed);
+  const DensityResult a = run_density_walk(torus, cfg, kSeed, VectorExec{});
+  const DensityResult b = run_density_walk(torus, cfg, kSeed, VectorExec{});
   EXPECT_EQ(a.collision_counts, b.collision_counts);
   EXPECT_EQ(a.collision_counts.size(), 50u);
 }
@@ -184,7 +187,7 @@ TEST(VectorEngine, GoldenDensityWalk) {
   DensityConfig cfg;
   cfg.num_agents = 50;
   cfg.rounds = 80;
-  const DensityResult r = run_density_walk_vector(torus, cfg, 900);
+  const DensityResult r = run_density_walk(torus, cfg, 900, VectorExec{});
   ASSERT_EQ(r.collision_counts.size(), 50u);
   const std::uint64_t golden_first8[8] = {22, 10, 33, 25, 16, 13, 13, 17};
   for (int i = 0; i < 8; ++i) {
@@ -260,8 +263,8 @@ TEST(VectorStatistics, MatchesSingleEngineOnAllNineFamilies) {
     SCOPED_TRACE(fam.label);
     stats::Accumulator vec;
     for (const double m :
-         trial_means(collect_all_agent_estimates_vector(fam.topo, cfg, kSeed,
-                                                        kTrials, 2),
+         trial_means(collect_all_agent_estimates(fam.topo, cfg, kSeed,
+                                                 kTrials, 2, {}, VectorExec{}),
                      cfg.num_agents)) {
       vec.add(m);
     }
@@ -293,7 +296,8 @@ TEST(VectorStatistics, UnbiasedWithinEnvelopeOnRegularFamilies) {
   const double d = 49.0 / 256.0;
   stats::Accumulator acc;
   for (std::uint64_t trial = 0; trial < 120; ++trial) {
-    const DensityResult r = run_density_walk_vector(torus, cfg, 900 + trial);
+    const DensityResult r =
+        run_density_walk(torus, cfg, 900 + trial, VectorExec{});
     for (const double e : r.estimates()) {
       acc.add(e);
     }
@@ -316,7 +320,8 @@ TEST(VectorStatistics, Theorem1EnvelopeAtPlannedRounds) {
   std::uint64_t within = 0;
   std::uint64_t total = 0;
   for (std::uint64_t trial = 0; trial < 40; ++trial) {
-    const DensityResult r = run_density_walk_vector(torus, cfg, 70 + trial);
+    const DensityResult r =
+        run_density_walk(torus, cfg, 70 + trial, VectorExec{});
     for (const double e : r.estimates()) {
       ++total;
       if (std::fabs(e - d) <= eps * d) {

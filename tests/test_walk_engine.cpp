@@ -10,8 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/biased_torus2d.hpp"
@@ -101,7 +105,7 @@ TEST(EngineEquivalence, InitialPositionsMatchLegacy) {
   for (std::uint32_t i = 0; i < cfg.num_agents; ++i) {
     start.push_back(Torus2D::pack(i % 4, i / 16));
   }
-  const DensityResult engine = run_density_walk(torus, cfg, 41, &start);
+  const DensityResult engine = run_density_walk(torus, cfg, 41, {}, &start);
   const DensityResult reference =
       legacy::run_density_walk(torus, cfg, 41, &start);
   EXPECT_EQ(engine.collision_counts, reference.collision_counts);
@@ -267,18 +271,18 @@ TEST(WalkEngine, ComposedObserversMatchSeparateRuns) {
   CollisionObserver collisions(kAgents);
   PropertyObserver properties(has_property);
   constexpr std::uint64_t kStreamSeed = 0xABCDEFull;
-  run_walk(torus, cfg, kStreamSeed,
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            collisions, properties);
 
   CollisionObserver collisions_only(kAgents);
-  run_walk(torus, cfg, kStreamSeed,
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            collisions_only);
   EXPECT_EQ(collisions.counts(), collisions_only.counts());
 
   PropertyObserver properties_only(has_property);
-  run_walk(torus, cfg, kStreamSeed,
+  run_walk(torus, cfg, kStreamSeed, SingleExec{},
            static_cast<const std::vector<Torus2D::node_type>*>(nullptr),
            properties_only);
   EXPECT_EQ(properties.total_counts(), properties_only.total_counts());
@@ -300,6 +304,103 @@ TEST(WalkEngine, TrajectoryDriverStillMatchesItsContract) {
     ASSERT_EQ(row.size(), 2u);
     const double scaled_final = row[1] * 20;
     EXPECT_NEAR(scaled_final, std::round(scaled_final), 1e-9);
+  }
+}
+
+// Logs every hook with its round and agent range.  Sharded fires fill
+// and after_round once per shard from pool workers, hence the mutex.
+class HookRecorder {
+ public:
+  void begin_round(std::uint32_t round) { log('b', round, 0, 0); }
+  template <typename View>
+  void fill(const View& v) {
+    log('f', v.round, v.begin_agent, v.end_agent);
+  }
+  template <typename View>
+  void after_round(const View& v) {
+    log('a', v.round, v.begin_agent, v.end_agent);
+  }
+  void end_round(std::uint32_t round) { log('e', round, 0, 0); }
+
+  /// One token per run of same-kind hooks within a round: begin/end
+  /// tokens carry their call count, fill/after_round tokens the agent
+  /// ranges they covered, merged ("[0,40)" when they tile it exactly
+  /// once).  Scheduling order within a parallel phase drops out.
+  std::string normalized() const {
+    std::string out;
+    std::size_t i = 0;
+    while (i < events_.size()) {
+      const Event& first = events_[i];
+      std::vector<std::pair<std::uint32_t, std::uint32_t>> ranges;
+      std::size_t j = i;
+      for (; j < events_.size() && events_[j].hook == first.hook &&
+             events_[j].round == first.round;
+           ++j) {
+        ranges.emplace_back(events_[j].begin, events_[j].end);
+      }
+      out += std::to_string(first.round) + first.hook;
+      if (first.hook == 'f' || first.hook == 'a') {
+        std::sort(ranges.begin(), ranges.end());
+        std::uint32_t covered = 0;
+        bool tiles = true;
+        for (const auto& [b, e] : ranges) {
+          tiles = tiles && b == covered && e > b;
+          covered = e;
+        }
+        out += tiles ? "[0," + std::to_string(covered) + ")" : "<gap>";
+      } else {
+        out += "x" + std::to_string(j - i);
+      }
+      out += ' ';
+      i = j;
+    }
+    return out;
+  }
+
+ private:
+  struct Event {
+    char hook;
+    std::uint32_t round;
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  void log(char hook, std::uint32_t round, std::uint32_t begin,
+           std::uint32_t end) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    events_.push_back({hook, round, begin, end});
+  }
+
+  std::mutex mu_;
+  std::vector<Event> events_;
+};
+
+TEST(WalkEngine, EveryEngineFiresHooksInOneOrder) {
+  // Per round: begin_round once, fills covering [0, n) exactly once and
+  // all before any after_round, after_rounds covering [0, n) exactly
+  // once, end_round once — the same on every engine and thread count.
+  const Torus2D torus(12, 12);
+  WalkConfig cfg;
+  cfg.num_agents = 40;
+  cfg.rounds = 3;
+  std::string expected;
+  for (std::uint32_t r = 1; r <= cfg.rounds; ++r) {
+    const std::string round = std::to_string(r);
+    expected += round + "bx1 " + round + "f[0,40) " + round + "a[0,40) " +
+                round + "ex1 ";
+  }
+  const auto trace = [&](const auto& exec) {
+    HookRecorder recorder;
+    run_walk(torus, cfg, 5, exec, nullptr, recorder);
+    return recorder.normalized();
+  };
+  EXPECT_EQ(trace(SingleExec{}), expected);
+  EXPECT_EQ(trace(VectorExec{}), expected);
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    // 8-agent shards: five per round, so the pool really interleaves.
+    EXPECT_EQ(trace(ShardExec{.threads = threads, .shard_size = 8}),
+              expected)
+        << "sharded, threads=" << threads;
   }
 }
 
