@@ -652,27 +652,29 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
     (detail::notify_after_round(observers, view, positions), ...);
   };
 
-  // Sharded: the pool outlives the round loop, so each phase is a
-  // condvar wake, not a thread spawn, and the phase functions are
-  // wrapped in std::function once rather than per dispatch.  One thread
-  // runs the same shards in the same order, so its output is identical.
+  // The fused policy's two phases.  Its pool outlives the round loop,
+  // so each phase is a condvar wake, not a thread spawn, and the phases
+  // are wrapped in std::function once rather than per dispatch.  One
+  // thread runs the same shards in the same order, calling the phases
+  // directly, so its output is identical.
+  const auto phase_a = [&](std::size_t s) {
+    step(lanes[s]);
+    count(lanes[s]);
+    fill(lanes[s]);
+  };
+  const auto phase_b = [&](std::size_t s) { observe(lanes[s]); };
   std::unique_ptr<util::WorkerPool> pool;
-  std::function<void(std::size_t)> phase_a;  // step, count, fill
-  std::function<void(std::size_t)> phase_b;  // after_round
-  if constexpr (kFused) {
-    phase_a = [&](std::size_t s) {
-      step(lanes[s]);
-      count(lanes[s]);
-      fill(lanes[s]);
-    };
-    phase_b = [&](std::size_t s) { observe(lanes[s]); };
-    if (concurrent) {
-      pool = std::make_unique<util::WorkerPool>(threads);
-    }
+  std::function<void(std::size_t)> phase_a_fn;
+  std::function<void(std::size_t)> phase_b_fn;
+  if (concurrent) {
+    pool = std::make_unique<util::WorkerPool>(threads);
+    phase_a_fn = phase_a;
+    phase_b_fn = phase_b;
   }
-  const auto dispatch = [&](const std::function<void(std::size_t)>& phase) {
+  const auto dispatch = [&](const auto& phase,
+                            const std::function<void(std::size_t)>& wrapped) {
     if (concurrent) {
-      pool->run(lanes.size(), phase);
+      pool->run(lanes.size(), wrapped);
     } else {
       for (std::size_t s = 0; s < lanes.size(); ++s) {
         phase(s);
@@ -691,10 +693,10 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
     if constexpr (kFused) {
       {
         const obs::EngineTap::PhaseSpan phase(tap, 0);
-        dispatch(phase_a);
+        dispatch(phase_a, phase_a_fn);
       }
       const obs::EngineTap::PhaseSpan phase(tap, kObservePhase);
-      dispatch(phase_b);
+      dispatch(phase_b, phase_b_fn);
     } else {
       LaneT& lane = lanes.front();
       {
