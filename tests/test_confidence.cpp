@@ -6,6 +6,8 @@
 
 #include "graph/complete.hpp"
 #include "graph/torus2d.hpp"
+#include "util/format.hpp"
+#include "util/hash.hpp"
 
 namespace antdense::core {
 namespace {
@@ -99,6 +101,20 @@ TEST(ConfidenceRun, DeterministicInSeed) {
   for (std::size_t i = 0; i < a.intervals.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.intervals[i].estimate, b.intervals[i].estimate);
   }
+}
+
+// Pins the walk stream: placement and every step draw, agent by agent,
+// from one generator seeded derive_seed(seed, 0xC1).
+TEST(ConfidenceRun, ResultHashIsPinned) {
+  const graph::Torus2D torus(12, 12);
+  const auto r = estimate_density_with_intervals(torus, 40, 64, 0.1, 2.0, 17);
+  std::string bytes;
+  for (const AgentInterval& in : r.intervals) {
+    bytes += util::format_shortest(in.estimate) + ',' +
+             util::format_shortest(in.lower) + ',' +
+             util::format_shortest(in.upper) + ';';
+  }
+  EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "d866086927e1b438");
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "graph/torus2d.hpp"
 #include "stats/accumulator.hpp"
+#include "util/format.hpp"
+#include "util/hash.hpp"
 
 namespace antdense::swarm {
 namespace {
@@ -99,6 +101,27 @@ TEST(SwarmEstimation, DeterministicInSeed) {
   const SwarmResult b = run_swarm_estimation(torus, cfg, 9);
   EXPECT_EQ(a.density_estimates, b.density_estimates);
   EXPECT_EQ(a.group_of_agent, b.group_of_agent);
+}
+
+// Pins the group assignment (its own derive_seed(seed, 0x5A11) stream)
+// and the walk stream (derive_seed(seed, 0x5A22): placement, then every
+// step, agent by agent) through every per-group estimate.
+TEST(SwarmEstimation, ResultHashIsPinned) {
+  const Torus2D torus(12, 12);
+  SwarmConfig cfg;
+  cfg.group_sizes = {10, 15, 20};
+  cfg.rounds = 64;
+  const SwarmResult r = run_swarm_estimation(torus, cfg, 17);
+  std::string bytes;
+  for (std::size_t a = 0; a < r.density_estimates.size(); ++a) {
+    bytes += std::to_string(r.group_of_agent[a]) + ':' +
+             util::format_shortest(r.density_estimates[a]);
+    for (double f : r.group_frequency_estimates[a]) {
+      bytes += ',' + util::format_shortest(f);
+    }
+    bytes += ';';
+  }
+  EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "c30a46c758d724f4");
 }
 
 }  // namespace
