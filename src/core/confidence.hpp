@@ -24,8 +24,7 @@
 
 #include "graph/topology.hpp"
 #include "rng/splitmix64.hpp"
-#include "rng/xoshiro256pp.hpp"
-#include "sim/collision_counter.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
 namespace antdense::core {
@@ -59,29 +58,24 @@ ConfidenceRunResult estimate_density_with_intervals(
   ANTDENSE_CHECK(num_agents >= 2, "need at least two agents");
   ANTDENSE_CHECK(rounds >= 2, "need at least two rounds for a variance");
 
-  rng::Xoshiro256pp gen(rng::derive_seed(seed, 0xC1u));
-  std::vector<typename T::node_type> pos(num_agents);
-  for (auto& p : pos) {
-    p = topo.random_node(gen);
-  }
-  std::vector<std::uint64_t> keys(num_agents);
   // per_round[a * rounds + r]
   std::vector<std::uint32_t> per_round(
       static_cast<std::size_t>(num_agents) * rounds, 0);
-  sim::CollisionCounter counter(num_agents);
-
-  for (std::uint32_t r = 0; r < rounds; ++r) {
-    counter.begin_round();
-    for (std::uint32_t i = 0; i < num_agents; ++i) {
-      pos[i] = topo.random_neighbor(pos[i], gen);
-      keys[i] = topo.key(pos[i]);
-      counter.add(keys[i]);
+  struct PerRoundCounts {
+    std::vector<std::uint32_t>& out;
+    std::uint32_t rounds;
+    void after_round(const sim::RoundView& v) {
+      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+        out[static_cast<std::size_t>(i) * rounds + v.round - 1] =
+            v.counter.occupancy(v.keys[i]) - 1;
+      }
     }
-    for (std::uint32_t i = 0; i < num_agents; ++i) {
-      per_round[static_cast<std::size_t>(i) * rounds + r] =
-          counter.occupancy(keys[i]) - 1;
-    }
-  }
+  } observer{per_round, rounds};
+  sim::WalkConfig walk;
+  walk.num_agents = num_agents;
+  walk.rounds = rounds;
+  sim::run_walk(topo, walk, rng::derive_seed(seed, 0xC1u), sim::SingleExec{},
+                nullptr, observer);
 
   ConfidenceRunResult result;
   result.true_density = static_cast<double>(num_agents - 1) /

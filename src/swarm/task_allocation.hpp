@@ -13,7 +13,7 @@
 #include "rng/random.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "sim/collision_counter.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
 namespace antdense::swarm {
@@ -72,41 +72,43 @@ SwarmResult run_swarm_estimation(const T& topo, const SwarmConfig& cfg,
     rng::shuffle(assign_gen, group_of);
   }
 
-  rng::Xoshiro256pp gen(rng::derive_seed(seed, 0x5A22u));
-  std::vector<typename T::node_type> pos(n_agents);
-  for (auto& p : pos) {
-    p = topo.random_node(gen);
-  }
-
-  std::vector<std::uint64_t> keys(n_agents);
-  // counts[a * n_groups + g] = agent a's encounters with group g.
-  std::vector<std::uint64_t> counts(
-      static_cast<std::size_t>(n_agents) * n_groups, 0);
-  std::vector<sim::CollisionCounter> counters;
-  counters.reserve(n_groups);
-  for (std::uint32_t g = 0; g < n_groups; ++g) {
-    counters.emplace_back(n_agents);
-  }
-
-  for (std::uint32_t r = 0; r < cfg.rounds; ++r) {
-    for (auto& counter : counters) {
-      counter.begin_round();
-    }
-    for (std::uint32_t i = 0; i < n_agents; ++i) {
-      pos[i] = topo.random_neighbor(pos[i], gen);
-      keys[i] = topo.key(pos[i]);
-      counters[group_of[i]].add(keys[i]);
-    }
-    for (std::uint32_t i = 0; i < n_agents; ++i) {
-      for (std::uint32_t g = 0; g < n_groups; ++g) {
-        std::uint32_t occ = counters[g].occupancy(keys[i]);
-        if (g == group_of[i]) {
-          --occ;  // exclude self
-        }
-        counts[static_cast<std::size_t>(i) * n_groups + g] += occ;
+  // counts[a * n_groups + g] = agent a's encounters with group g,
+  // counted against one occupancy counter per group.
+  struct GroupCounts {
+    const std::vector<std::uint32_t>& group_of;
+    std::uint32_t n_groups;
+    std::vector<sim::CollisionCounter> counters;
+    std::vector<std::uint64_t> counts;
+    void fill(const sim::RoundView& v) {
+      for (auto& counter : counters) {
+        counter.begin_round();
+      }
+      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+        counters[group_of[i]].add(v.keys[i]);
       }
     }
-  }
+    void after_round(const sim::RoundView& v) {
+      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+        for (std::uint32_t g = 0; g < n_groups; ++g) {
+          std::uint32_t occ = counters[g].occupancy(v.keys[i]);
+          if (g == group_of[i]) {
+            --occ;  // exclude self
+          }
+          counts[static_cast<std::size_t>(i) * n_groups + g] += occ;
+        }
+      }
+    }
+  } observer{group_of, n_groups,
+             std::vector<sim::CollisionCounter>(
+                 n_groups, sim::CollisionCounter(n_agents)),
+             std::vector<std::uint64_t>(
+                 static_cast<std::size_t>(n_agents) * n_groups, 0)};
+  sim::WalkConfig walk;
+  walk.num_agents = n_agents;
+  walk.rounds = cfg.rounds;
+  sim::run_walk(topo, walk, rng::derive_seed(seed, 0x5A22u), sim::SingleExec{},
+                nullptr, observer);
+  const std::vector<std::uint64_t>& counts = observer.counts;
 
   SwarmResult result;
   result.rounds = cfg.rounds;
