@@ -79,7 +79,7 @@ std::uint16_t require_port(const util::Args& args) {
   if (!args.has("port")) {
     throw std::invalid_argument("--port=N is required");
   }
-  return static_cast<std::uint16_t>(args.get_uint("port", 0));
+  return static_cast<std::uint16_t>(args.get_uint("port", 0, 65535));
 }
 
 serve::Client::ProgressFn progress_printer(const util::Args& args) {

@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
                         "help"});
 
     serve::ServerOptions options;
-    options.port = static_cast<std::uint16_t>(args.get_uint("port", 0));
+    options.port = static_cast<std::uint16_t>(args.get_uint("port", 0, 65535));
     options.journal_path = args.get_string("journal", "");
     options.cache_bytes = args.get_uint("cache-bytes", 64ull << 20);
     options.threads = static_cast<unsigned>(args.get_uint("threads", 0));

@@ -1,19 +1,47 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
-
-#include "util/check.hpp"
 
 namespace antdense::util {
 
 namespace {
+
+template <typename Number>
+std::optional<Number> parse_whole(std::string_view token) {
+  Number value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (token.empty() || ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+[[noreturn]] void throw_bad_value(const std::string& key,
+                                  const std::string& value,
+                                  const std::string& expectation) {
+  throw std::invalid_argument("flag --" + key + ": expected " + expectation +
+                              ", got '" + value + "'");
+}
 
 bool looks_like_flag(const std::string& arg) {
   return arg.size() >= 3 && arg[0] == '-' && arg[1] == '-';
 }
 
 }  // namespace
+
+std::optional<std::uint64_t> parse_uint(std::string_view token) {
+  return parse_whole<std::uint64_t>(token);
+}
+
+std::optional<std::int64_t> parse_int(std::string_view token) {
+  return parse_whole<std::int64_t>(token);
+}
+
+std::optional<double> parse_double(std::string_view token) {
+  return parse_whole<double>(token);
+}
 
 Args::Args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -110,18 +138,27 @@ std::int64_t Args::get_int(const std::string& key,
   if (it == flags_.end()) {
     return fallback;
   }
-  ANTDENSE_CHECK(!it->second.empty(), "empty value for flag --" + key);
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  const auto value = parse_int(it->second);
+  if (!value) {
+    throw_bad_value(key, it->second, "an integer");
+  }
+  return *value;
 }
 
-std::uint64_t Args::get_uint(const std::string& key,
-                             std::uint64_t fallback) const {
+std::uint64_t Args::get_uint(const std::string& key, std::uint64_t fallback,
+                             std::uint64_t max) const {
   const auto it = flags_.find(key);
   if (it == flags_.end()) {
     return fallback;
   }
-  ANTDENSE_CHECK(!it->second.empty(), "empty value for flag --" + key);
-  return std::strtoull(it->second.c_str(), nullptr, 10);
+  const auto value = parse_uint(it->second);
+  if (!value) {
+    throw_bad_value(key, it->second, "an unsigned integer");
+  }
+  if (*value > max) {
+    throw_bad_value(key, it->second, "at most " + std::to_string(max));
+  }
+  return *value;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
@@ -129,8 +166,11 @@ double Args::get_double(const std::string& key, double fallback) const {
   if (it == flags_.end()) {
     return fallback;
   }
-  ANTDENSE_CHECK(!it->second.empty(), "empty value for flag --" + key);
-  return std::strtod(it->second.c_str(), nullptr);
+  const auto value = parse_double(it->second);
+  if (!value) {
+    throw_bad_value(key, it->second, "a real number");
+  }
+  return *value;
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

@@ -1,18 +1,30 @@
 // Minimal command-line flag parser for bench and example binaries.
 //
 // Supported syntax: --key=value, --key value, and bare --flag (boolean
-// true).  Unknown positional arguments are collected separately.  The
-// parser is intentionally tiny: benches need reproducible parameter
-// overrides, nothing more.
+// true).  Unknown positional arguments are collected separately.
+// Numeric reads are strict: the whole value must be one number, so
+// "--agents=10x", "--threads=-1" or a bare "--lazy" is an error rather
+// than a silently different run.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace antdense::util {
+
+/// Strict whole-token parses shared by the flag reader and the spec
+/// grammars: base 10, no surrounding whitespace, no '+', nothing after
+/// the number, no overflow; parse_uint also refuses a '-' sign.  Each
+/// returns nullopt on any failure.
+std::optional<std::uint64_t> parse_uint(std::string_view token);
+std::optional<std::int64_t> parse_int(std::string_view token);
+std::optional<double> parse_double(std::string_view token);
 
 class Args {
  public:
@@ -23,9 +35,14 @@ class Args {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
+  /// The numeric getters return `fallback` when the flag is absent and
+  /// throw std::invalid_argument, naming the flag and its value, when
+  /// the value does not parse strictly (a bare flag has no number) or
+  /// get_uint's value exceeds `max`.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
-  std::uint64_t get_uint(const std::string& key,
-                         std::uint64_t fallback) const;
+  std::uint64_t get_uint(
+      const std::string& key, std::uint64_t fallback,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

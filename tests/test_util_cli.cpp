@@ -62,6 +62,64 @@ TEST(Args, UintParsing) {
   EXPECT_EQ(args.get_uint("big", 0), ~std::uint64_t{0});
 }
 
+TEST(Args, NumericValuesMustParseWhole) {
+  EXPECT_THROW(parse({"--agents=10x"}).get_uint("agents", 0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--steps=3.5"}).get_int("steps", 0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--rate=0.5x"}).get_double("rate", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--rate= 0.5"}).get_double("rate", 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--k="}).get_uint("k", 0), std::invalid_argument);
+  EXPECT_THROW(parse({"--big=18446744073709551616"}).get_uint("big", 0),
+               std::invalid_argument);
+  EXPECT_EQ(parse({"--steps=-3"}).get_int("steps", 0), -3);
+  EXPECT_DOUBLE_EQ(parse({"--rate=1e-3"}).get_double("rate", 0.0), 1e-3);
+}
+
+TEST(Args, UnsignedFlagsRejectASign) {
+  EXPECT_THROW(parse({"--threads=-1"}).get_uint("threads", 0),
+               std::invalid_argument);
+  EXPECT_THROW(parse({"--threads=+1"}).get_uint("threads", 0),
+               std::invalid_argument);
+}
+
+TEST(Args, BareNumericFlagIsAnError) {
+  const Args args = parse({"--lazy", "--agents"});
+  EXPECT_THROW(args.get_double("lazy", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_uint("agents", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("agents", 0), std::invalid_argument);
+}
+
+TEST(Args, BadValueMessageNamesFlagAndValue) {
+  try {
+    parse({"--agents=10x"}).get_uint("agents", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --agents: expected an unsigned integer, got '10x'");
+  }
+}
+
+TEST(Args, UintUpperBound) {
+  EXPECT_EQ(parse({"--port=65535"}).get_uint("port", 0, 65535), 65535u);
+  try {
+    parse({"--port=70000"}).get_uint("port", 0, 65535);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "flag --port: expected at most 65535, got '70000'");
+  }
+}
+
+// The benchmark driver passes these spellings.
+TEST(Args, BenchmarkDriverFlagsParse) {
+  const Args args = parse({"--seconds=50.0", "--seed=1", "--trace=0"});
+  EXPECT_DOUBLE_EQ(args.get_double("seconds", 10.0), 50.0);
+  EXPECT_EQ(args.get_uint("seed", 0), 1u);
+  EXPECT_EQ(args.get_int("trace", 1), 0);
+}
+
 TEST(Args, LaterFlagWins) {
   const Args args = parse({"--k=1", "--k=2"});
   EXPECT_EQ(args.get_int("k", 0), 2);
