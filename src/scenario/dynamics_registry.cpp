@@ -1,9 +1,9 @@
 #include "scenario/dynamics_registry.hpp"
 
-#include <charconv>
 #include <limits>
 #include <utility>
 
+#include "scenario/spec_params.hpp"
 #include "sim/dynamic_world.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
@@ -12,138 +12,7 @@ namespace antdense::scenario {
 
 namespace {
 
-// Diagnostics contract, matching the topology registry (see
-// tests/test_dynamics.cpp): every parse error names the model AND the
-// offending key=value, so a failed sweep axis is attributable from the
-// message alone.
-
-[[noreturn]] void throw_param_error(const std::string& model,
-                                    const std::string& detail) {
-  throw std::invalid_argument("dynamics spec '" + model + "': " + detail);
-}
-
-/// Strict uint parse: the whole token must be digits so "1e4" or
-/// trailing garbage fail loudly.
-std::uint64_t parse_u64(const std::string& model, const std::string& key,
-                        const std::string& token) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (token.empty() || ec != std::errc{} || ptr != end) {
-    throw_param_error(model, "parameter '" + key + "=" + token +
-                                 "': expected an unsigned integer");
-  }
-  return value;
-}
-
-/// Strict double parse for the probability parameters.
-double parse_f64(const std::string& model, const std::string& key,
-                 const std::string& token) {
-  double value = 0.0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (token.empty() || ec != std::errc{} || ptr != end) {
-    throw_param_error(model, "parameter '" + key + "=" + token +
-                                 "': expected a real number");
-  }
-  return value;
-}
-
-/// One typed field of a "k=v,k=v" parameter list.
-struct KvField {
-  enum class Kind { kU64, kF64 };
-  std::string key;
-  Kind kind = Kind::kU64;
-  bool required = false;
-  std::uint64_t u64_default = 0;
-  double f64_default = 0.0;
-};
-
-struct KvValues {
-  std::vector<std::uint64_t> u64s;  // indexed like the field schema
-  std::vector<double> f64s;
-};
-
-/// Parses "k=v,k=v" against a typed schema (later duplicates win).
-/// Every diagnostic carries the model and the offending key=value.
-KvValues parse_kv(const std::string& model, const std::string& params,
-                  const std::vector<KvField>& fields) {
-  KvValues values;
-  values.u64s.resize(fields.size());
-  values.f64s.resize(fields.size());
-  std::vector<bool> seen(fields.size(), false);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    values.u64s[i] = fields[i].u64_default;
-    values.f64s[i] = fields[i].f64_default;
-  }
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    const std::size_t comma = params.find(',', start);
-    const std::string item =
-        params.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw_param_error(model, "expected key=value, got '" + item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string token = item.substr(eq + 1);
-    bool matched = false;
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (fields[i].key == key) {
-        if (fields[i].kind == KvField::Kind::kU64) {
-          values.u64s[i] = parse_u64(model, key, token);
-        } else {
-          values.f64s[i] = parse_f64(model, key, token);
-        }
-        seen[i] = true;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      std::string known;
-      for (const auto& f : fields) {
-        known += (known.empty() ? "" : ", ") + f.key;
-      }
-      throw_param_error(model, "unknown parameter '" + key + "=" + token +
-                                   "' (expected: " + known + ")");
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (fields[i].required && !seen[i]) {
-      throw_param_error(model, "missing required parameter '" +
-                                   fields[i].key + "'");
-    }
-  }
-  return values;
-}
-
-/// Range guard whose message carries model, key, and value.
-void check_range(bool ok, const std::string& model, const std::string& key,
-                 const std::string& value, const std::string& expectation) {
-  if (!ok) {
-    throw_param_error(model, "parameter '" + key + "=" + value +
-                                 "': " + expectation);
-  }
-}
-
-KvField u64_field(std::string key, bool required,
-                  std::uint64_t fallback = 0) {
-  return {.key = std::move(key), .kind = KvField::Kind::kU64,
-          .required = required, .u64_default = fallback};
-}
-
-KvField f64_field(std::string key, bool required, double fallback = 0.0) {
-  return {.key = std::move(key), .kind = KvField::Kind::kF64,
-          .required = required, .f64_default = fallback};
-}
+constexpr SpecParams kSpec("dynamics spec");
 
 /// churn grammar.  mean_down defaults to 10 rounds; the canonical
 /// spelling makes both optional parameters explicit so parameter order
@@ -165,18 +34,19 @@ struct ChurnParams {
 };
 
 ChurnParams parse_churn(const std::string& params) {
-  const KvValues v = parse_kv("churn", params, churn_fields());
+  const KvValues v = kSpec.parse_kv("churn", params, churn_fields());
   ChurnParams out;
   out.p_edge = v.f64s[0];
   out.p_fail = v.f64s[1];
-  check_range(out.p_edge >= 0.0 && out.p_edge <= 1.0, "churn", "p_edge",
-              util::format_shortest(out.p_edge), "must be in [0,1]");
-  check_range(out.p_fail >= 0.0 && out.p_fail <= 1.0, "churn", "p_fail",
-              util::format_shortest(out.p_fail), "must be in [0,1]");
-  check_range(v.u64s[2] >= 1 &&
-                  v.u64s[2] <= std::numeric_limits<std::uint32_t>::max(),
-              "churn", "mean_down", std::to_string(v.u64s[2]),
-              "must be in [1, 2^32)");
+  kSpec.check_range(out.p_edge >= 0.0 && out.p_edge <= 1.0, "churn",
+                    "p_edge", util::format_shortest(out.p_edge),
+                    "must be in [0,1]");
+  kSpec.check_range(out.p_fail >= 0.0 && out.p_fail <= 1.0, "churn",
+                    "p_fail", util::format_shortest(out.p_fail),
+                    "must be in [0,1]");
+  kSpec.check_range(
+      v.u64s[2] >= 1 && v.u64s[2] <= std::numeric_limits<std::uint32_t>::max(),
+      "churn", "mean_down", std::to_string(v.u64s[2]), "must be in [1, 2^32)");
   out.mean_down = static_cast<std::uint32_t>(v.u64s[2]);
   out.seed = v.u64s[3];
   return out;
@@ -197,13 +67,15 @@ struct DriftParams {
 };
 
 DriftParams parse_drift(const std::string& params) {
-  const KvValues v = parse_kv("drift", params, drift_fields());
+  const KvValues v = kSpec.parse_kv("drift", params, drift_fields());
   DriftParams out{.p_death = v.f64s[0], .p_birth = v.f64s[1],
                   .seed = v.u64s[2]};
-  check_range(out.p_death >= 0.0 && out.p_death <= 1.0, "drift", "p_death",
-              util::format_shortest(out.p_death), "must be in [0,1]");
-  check_range(out.p_birth >= 0.0 && out.p_birth <= 1.0, "drift", "p_birth",
-              util::format_shortest(out.p_birth), "must be in [0,1]");
+  kSpec.check_range(out.p_death >= 0.0 && out.p_death <= 1.0, "drift",
+                    "p_death", util::format_shortest(out.p_death),
+                    "must be in [0,1]");
+  kSpec.check_range(out.p_birth >= 0.0 && out.p_birth <= 1.0, "drift",
+                    "p_birth", util::format_shortest(out.p_birth),
+                    "must be in [0,1]");
   return out;
 }
 
@@ -222,12 +94,12 @@ struct FadeParams {
 };
 
 FadeParams parse_fade(const std::string& params) {
-  const KvValues v = parse_kv("fade", params, fade_fields());
+  const KvValues v = kSpec.parse_kv("fade", params, fade_fields());
   FadeParams out{.p0 = v.f64s[0], .step = v.f64s[1], .seed = v.u64s[2]};
-  check_range(out.p0 >= 0.0 && out.p0 <= 1.0, "fade", "p0",
-              util::format_shortest(out.p0), "must be in [0,1]");
-  check_range(out.step >= 0.0 && out.step <= 1.0, "fade", "step",
-              util::format_shortest(out.step), "must be in [0,1]");
+  kSpec.check_range(out.p0 >= 0.0 && out.p0 <= 1.0, "fade", "p0",
+                    util::format_shortest(out.p0), "must be in [0,1]");
+  kSpec.check_range(out.step >= 0.0 && out.step <= 1.0, "fade", "step",
+                    util::format_shortest(out.step), "must be in [0,1]");
   return out;
 }
 

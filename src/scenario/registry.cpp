@@ -1,6 +1,5 @@
 #include "scenario/registry.hpp"
 
-#include <charconv>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -16,6 +15,7 @@
 #include "graph/rgg2d.hpp"
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
+#include "scenario/spec_params.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 
@@ -23,52 +23,15 @@ namespace antdense::scenario {
 
 namespace {
 
-// Diagnostics contract (see tests/test_scenario.cpp): every parse error
-// names the family AND the offending key=value, so a failed sweep axis
-// is attributable from the message alone.
-
-[[noreturn]] void throw_param_error(const std::string& family,
-                                    const std::string& detail) {
-  throw std::invalid_argument("topology spec '" + family + "': " + detail);
-}
-
-/// Strict uint parse: the whole token must be digits (no sign, no
-/// trailing garbage) so "64x64x3" or "1e4" fail loudly.
-std::uint64_t parse_u64(const std::string& family, const std::string& key,
-                        const std::string& token) {
-  std::uint64_t value = 0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (token.empty() || ec != std::errc{} || ptr != end) {
-    throw_param_error(family, "parameter '" + key + "=" + token +
-                                  "': expected an unsigned integer");
-  }
-  return value;
-}
-
-/// Strict double parse for real-valued generator parameters.
-double parse_f64(const std::string& family, const std::string& key,
-                 const std::string& token) {
-  double value = 0.0;
-  const char* begin = token.data();
-  const char* end = begin + token.size();
-  const auto [ptr, ec] = std::from_chars(begin, end, value);
-  if (token.empty() || ec != std::errc{} || ptr != end) {
-    throw_param_error(family, "parameter '" + key + "=" + token +
-                                  "': expected a real number");
-  }
-  return value;
-}
+constexpr SpecParams kSpec("topology spec");
 
 /// parse_u64 narrowed to the 32-bit constructor parameters; out-of-range
 /// values throw instead of silently wrapping to a different substrate.
 std::uint32_t narrow_u32(const std::string& family, const std::string& key,
                          std::uint64_t value) {
   if (value > std::numeric_limits<std::uint32_t>::max()) {
-    throw_param_error(family, "parameter '" + key + "=" +
-                                  std::to_string(value) +
-                                  "': exceeds the 32-bit range");
+    kSpec.fail(family, "parameter '" + key + "=" + std::to_string(value) +
+                           "': exceeds the 32-bit range");
   }
   return static_cast<std::uint32_t>(value);
 }
@@ -79,107 +42,12 @@ std::pair<std::uint64_t, std::uint64_t> parse_pair(const std::string& family,
                                                    const std::string& params) {
   const auto x = params.find('x');
   if (x == std::string::npos) {
-    throw_param_error(family,
-                      "expected '" + what + "', got '" + params + "'");
+    kSpec.fail(family, "expected '" + what + "', got '" + params + "'");
   }
   const auto lhs = what.substr(0, what.find('x'));
   const auto rhs = what.substr(what.find('x') + 1);
-  return {parse_u64(family, lhs, params.substr(0, x)),
-          parse_u64(family, rhs, params.substr(x + 1))};
-}
-
-/// One typed field of a "k=v,k=v" parameter list.
-struct KvField {
-  enum class Kind { kU64, kF64 };
-  std::string key;
-  Kind kind = Kind::kU64;
-  bool required = false;
-  std::uint64_t u64_default = 0;
-  double f64_default = 0.0;
-};
-
-struct KvValues {
-  std::vector<std::uint64_t> u64s;  // indexed like the field schema
-  std::vector<double> f64s;
-};
-
-/// Parses "k=v,k=v" against a typed schema (later duplicates win).
-/// Every diagnostic carries the family and the offending key=value.
-KvValues parse_kv(const std::string& family, const std::string& params,
-                  const std::vector<KvField>& fields) {
-  KvValues values;
-  values.u64s.resize(fields.size());
-  values.f64s.resize(fields.size());
-  std::vector<bool> seen(fields.size(), false);
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    values.u64s[i] = fields[i].u64_default;
-    values.f64s[i] = fields[i].f64_default;
-  }
-  std::size_t start = 0;
-  while (start <= params.size()) {
-    const std::size_t comma = params.find(',', start);
-    const std::string item =
-        params.substr(start, comma == std::string::npos ? std::string::npos
-                                                        : comma - start);
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw_param_error(family, "expected key=value, got '" + item + "'");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string token = item.substr(eq + 1);
-    bool matched = false;
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-      if (fields[i].key == key) {
-        if (fields[i].kind == KvField::Kind::kU64) {
-          values.u64s[i] = parse_u64(family, key, token);
-        } else {
-          values.f64s[i] = parse_f64(family, key, token);
-        }
-        seen[i] = true;
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
-      std::string known;
-      for (const auto& f : fields) {
-        known += (known.empty() ? "" : ", ") + f.key;
-      }
-      throw_param_error(family, "unknown parameter '" + key + "=" + token +
-                                    "' (expected: " + known + ")");
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    if (fields[i].required && !seen[i]) {
-      throw_param_error(family, "missing required parameter '" +
-                                    fields[i].key + "'");
-    }
-  }
-  return values;
-}
-
-/// Range guard whose message carries family, key, and value.
-void check_range(bool ok, const std::string& family, const std::string& key,
-                 const std::string& value, const std::string& expectation) {
-  if (!ok) {
-    throw_param_error(family, "parameter '" + key + "=" + value +
-                                  "': " + expectation);
-  }
-}
-
-KvField u64_field(std::string key, bool required,
-                  std::uint64_t fallback = 0) {
-  return {.key = std::move(key), .kind = KvField::Kind::kU64,
-          .required = required, .u64_default = fallback};
-}
-
-KvField f64_field(std::string key, bool required, double fallback = 0.0) {
-  return {.key = std::move(key), .kind = KvField::Kind::kF64,
-          .required = required, .f64_default = fallback};
+  return {kSpec.parse_u64(family, lhs, params.substr(0, x)),
+          kSpec.parse_u64(family, rhs, params.substr(x + 1))};
 }
 
 Registry make_built_in() {
@@ -207,12 +75,12 @@ Registry make_built_in() {
       {.make =
            [](const std::string& params) {
              return graph::AnyTopology(
-                 graph::Ring(parse_u64("ring", "NODES", params)));
+                 graph::Ring(kSpec.parse_u64("ring", "NODES", params)));
            },
        .canonical =
            [](const std::string& params) {
-             return "ring:" +
-                    std::to_string(parse_u64("ring", "NODES", params));
+             return "ring:" + std::to_string(
+                                  kSpec.parse_u64("ring", "NODES", params));
            },
        .grammar = "ring:NODES (1-D torus, Section 4.2; "
                   "e.g. ring:10000)"});
@@ -223,12 +91,12 @@ Registry make_built_in() {
            [](const std::string& params) {
              return graph::AnyTopology(graph::Hypercube(narrow_u32(
                  "hypercube", "DIMS",
-                 parse_u64("hypercube", "DIMS", params))));
+                 kSpec.parse_u64("hypercube", "DIMS", params))));
            },
        .canonical =
            [](const std::string& params) {
-             return "hypercube:" +
-                    std::to_string(parse_u64("hypercube", "DIMS", params));
+             return "hypercube:" + std::to_string(kSpec.parse_u64(
+                                       "hypercube", "DIMS", params));
            },
        .grammar = "hypercube:DIMS (k-dim hypercube, Section 4.5; "
                   "e.g. hypercube:14)"});
@@ -255,13 +123,13 @@ Registry make_built_in() {
       "complete",
       {.make =
            [](const std::string& params) {
-             return graph::AnyTopology(
-                 graph::CompleteGraph(parse_u64("complete", "NODES", params)));
+             return graph::AnyTopology(graph::CompleteGraph(
+                 kSpec.parse_u64("complete", "NODES", params)));
            },
        .canonical =
            [](const std::string& params) {
-             return "complete:" +
-                    std::to_string(parse_u64("complete", "NODES", params));
+             return "complete:" + std::to_string(kSpec.parse_u64(
+                                      "complete", "NODES", params));
            },
        .grammar = "complete:NODES (complete graph, Section 1.1; "
                   "e.g. complete:4096)"});
@@ -272,7 +140,7 @@ Registry make_built_in() {
       "expander",
       {.make =
            [=](const std::string& params) {
-             const auto v = parse_kv("expander", params, expander_fields);
+             const auto v = kSpec.parse_kv("expander", params, expander_fields);
              // The explicit graph is owned by the handle (payload), so
              // the spec string is the only lifetime the caller manages.
              auto g = std::make_shared<graph::Graph>(
@@ -284,7 +152,7 @@ Registry make_built_in() {
            },
        .canonical =
            [=](const std::string& params) {
-             const auto v = parse_kv("expander", params, expander_fields);
+             const auto v = kSpec.parse_kv("expander", params, expander_fields);
              return "expander:d=" + std::to_string(v.u64s[0]) +
                     ",n=" + std::to_string(v.u64s[1]) +
                     ",seed=" + std::to_string(v.u64s[2]);
@@ -297,12 +165,12 @@ Registry make_built_in() {
   const std::vector<KvField> rgg2d_fields = {
       u64_field("n", true), f64_field("r", true), u64_field("seed", false, 1)};
   const auto rgg2d_parse = [=](const std::string& params) {
-    const auto v = parse_kv("rgg2d", params, rgg2d_fields);
-    check_range(v.f64s[1] > 0.0 && v.f64s[1] < 1.0, "rgg2d", "r",
-                util::format_shortest(v.f64s[1]),
-                "radius must be in (0, 1)");
-    check_range(v.u64s[0] >= 2, "rgg2d", "n", std::to_string(v.u64s[0]),
-                "need at least 2 nodes");
+    const auto v = kSpec.parse_kv("rgg2d", params, rgg2d_fields);
+    kSpec.check_range(v.f64s[1] > 0.0 && v.f64s[1] < 1.0, "rgg2d", "r",
+                      util::format_shortest(v.f64s[1]),
+                      "radius must be in (0, 1)");
+    kSpec.check_range(v.u64s[0] >= 2, "rgg2d", "n",
+                      std::to_string(v.u64s[0]), "need at least 2 nodes");
     return v;
   };
   reg.register_family(
@@ -327,12 +195,12 @@ Registry make_built_in() {
   const std::vector<KvField> gnp_fields = {
       u64_field("n", true), f64_field("p", true), u64_field("seed", false, 1)};
   const auto gnp_parse = [=](const std::string& params) {
-    const auto v = parse_kv("gnp", params, gnp_fields);
-    check_range(v.f64s[1] > 0.0 && v.f64s[1] <= 1.0, "gnp", "p",
-                util::format_shortest(v.f64s[1]),
-                "edge probability must be in (0, 1]");
-    check_range(v.u64s[0] >= 2, "gnp", "n", std::to_string(v.u64s[0]),
-                "need at least 2 nodes");
+    const auto v = kSpec.parse_kv("gnp", params, gnp_fields);
+    kSpec.check_range(v.f64s[1] > 0.0 && v.f64s[1] <= 1.0, "gnp", "p",
+                      util::format_shortest(v.f64s[1]),
+                      "edge probability must be in (0, 1]");
+    kSpec.check_range(v.u64s[0] >= 2, "gnp", "n", std::to_string(v.u64s[0]),
+                      "need at least 2 nodes");
     return v;
   };
   reg.register_family(
@@ -357,11 +225,11 @@ Registry make_built_in() {
   const std::vector<KvField> ba_fields = {
       u64_field("n", true), u64_field("d", true), u64_field("seed", false, 1)};
   const auto ba_parse = [=](const std::string& params) {
-    const auto v = parse_kv("ba", params, ba_fields);
-    check_range(v.u64s[1] >= 1, "ba", "d", std::to_string(v.u64s[1]),
-                "attachment degree must be >= 1");
-    check_range(v.u64s[0] > v.u64s[1], "ba", "n", std::to_string(v.u64s[0]),
-                "need n > d");
+    const auto v = kSpec.parse_kv("ba", params, ba_fields);
+    kSpec.check_range(v.u64s[1] >= 1, "ba", "d", std::to_string(v.u64s[1]),
+                      "attachment degree must be >= 1");
+    kSpec.check_range(v.u64s[0] > v.u64s[1], "ba", "n",
+                      std::to_string(v.u64s[0]), "need n > d");
     return v;
   };
   reg.register_family(
