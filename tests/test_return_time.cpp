@@ -6,6 +6,7 @@
 #include "graph/hypercube.hpp"
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
+#include "graph/torus_kd.hpp"
 
 namespace antdense::walk {
 namespace {
@@ -25,6 +26,13 @@ TEST(FirstReturn, KacFormulaOnHypercube) {
   EXPECT_LT(stats.censored_fraction, 0.02);
   // Censoring trims the heaviest tail, so allow a slightly low mean.
   EXPECT_NEAR(stats.mean, 64.0, 6.0);
+}
+
+TEST(FirstReturn, KacFormulaOnTorus3D) {
+  const graph::TorusKD g(3, 6);  // A = 216
+  const auto stats = measure_first_return(g, 216 * 40, 40000, 8, 2);
+  EXPECT_LT(stats.censored_fraction, 0.02);
+  EXPECT_NEAR(stats.mean, 216.0, 0.1 * 216.0);
 }
 
 TEST(FirstReturn, RingHeavyTailCensorsMore) {

@@ -16,8 +16,13 @@
 #include <vector>
 
 #include "core/bounds.hpp"
+#include "graph/complete.hpp"
+#include "graph/explicit_topology.hpp"
+#include "graph/generators.hpp"
 #include "graph/hypercube.hpp"
+#include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
+#include "graph/torus_kd.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/trial_runner.hpp"
 #include "stats/accumulator.hpp"
@@ -74,6 +79,20 @@ TEST(Theorem1Regression, HypercubeUnbiasedWithinThreeStandardErrors) {
   const double d = 102.0 / 1024.0;
   const Measured m = measure(cube, kAgents, 1024, d);
   EXPECT_NEAR(m.mean, d, 3.0 * m.standard_error);
+}
+
+// Corollary 3 on the remaining regular families, same tolerance.
+TEST(Theorem1Regression, UnbiasedOnEveryRegularFamily) {
+  const auto check = [](const auto& topo, std::uint32_t agents) {
+    const double d = (agents - 1.0) / static_cast<double>(topo.num_nodes());
+    const Measured m = measure(topo, agents, 1024, d);
+    EXPECT_NEAR(m.mean, d, 3.0 * m.standard_error) << topo.name();
+  };
+  check(graph::Ring(2048), 103);
+  check(graph::TorusKD(3, 13), 111);
+  check(graph::CompleteGraph(2048), 103);
+  const graph::Graph rr = graph::make_random_regular_graph(2048, 8, 0xE2F);
+  check(graph::ExplicitTopology(rr, "random-regular"), 103);
 }
 
 TEST(Theorem1Regression, Torus2DRelativeErrorWithinTheorem1Envelope) {
