@@ -45,7 +45,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "graph/any_topology.hpp"
 #include "graph/ba.hpp"
@@ -62,7 +61,10 @@
 #include "sim/dynamic_world.hpp"
 #include "sim/legacy_reference.hpp"
 #include "sim/walk_engine.hpp"
+#include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <iostream>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +14,12 @@
 #endif
 
 namespace antdense::bench {
+
+void print_banner(const std::string& bench_id, const std::string& subject,
+                  const std::string& acceptance) {
+  std::cout << "# " << bench_id << " — " << subject << "\n\n";
+  std::cout << "Acceptance (shape, not constants): " << acceptance << "\n";
+}
 
 void reset_peak_rss() {
   // Linux: writing 5 to clear_refs resets VmHWM to the current RSS.

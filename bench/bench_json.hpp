@@ -45,6 +45,11 @@ struct BenchRecord {
   std::uint64_t peak_rss_bytes = 0;    // 0 = not recorded
 };
 
+/// Prints the standard bench banner: id, what is measured, and what
+/// the numbers should show.
+void print_banner(const std::string& bench_id, const std::string& subject,
+                  const std::string& acceptance);
+
 /// Resets the peak-resident-set mark to the current RSS where the
 /// platform allows it (Linux /proc/self/clear_refs); a no-op elsewhere.
 void reset_peak_rss();

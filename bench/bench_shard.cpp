@@ -32,13 +32,15 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "graph/torus2d.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/walk_engine.hpp"
 #include "util/parallel.hpp"
+#include "util/cli.hpp"
+#include "util/format.hpp"
 #include "util/table.hpp"
+#include "util/timer.hpp"
 
 namespace {
 
