@@ -36,9 +36,9 @@
 #include "graph/torus2d.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/walk_engine.hpp"
-#include "util/parallel.hpp"
 #include "util/cli.hpp"
 #include "util/format.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
