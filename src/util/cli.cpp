@@ -35,10 +35,6 @@ std::optional<std::uint64_t> parse_uint(std::string_view token) {
   return parse_whole<std::uint64_t>(token);
 }
 
-std::optional<std::int64_t> parse_int(std::string_view token) {
-  return parse_whole<std::int64_t>(token);
-}
-
 std::optional<double> parse_double(std::string_view token) {
   return parse_whole<double>(token);
 }
@@ -138,7 +134,7 @@ std::int64_t Args::get_int(const std::string& key,
   if (it == flags_.end()) {
     return fallback;
   }
-  const auto value = parse_int(it->second);
+  const auto value = parse_whole<std::int64_t>(it->second);
   if (!value) {
     throw_bad_value(key, it->second, "an integer");
   }

@@ -19,11 +19,10 @@
 namespace antdense::util {
 
 /// Strict whole-token parses shared by the flag reader and the spec
-/// grammars: base 10, no surrounding whitespace, no '+', nothing after
-/// the number, no overflow; parse_uint also refuses a '-' sign.  Each
+/// grammars: base 10, no surrounding whitespace, no sign, nothing after
+/// the number, no overflow (parse_double accepts a leading '-').  Each
 /// returns nullopt on any failure.
 std::optional<std::uint64_t> parse_uint(std::string_view token);
-std::optional<std::int64_t> parse_int(std::string_view token);
 std::optional<double> parse_double(std::string_view token);
 
 class Args {
