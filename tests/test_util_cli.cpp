@@ -107,8 +107,8 @@ TEST(Args, UintUpperBound) {
   }
 }
 
-// The benchmark driver passes these spellings.
-TEST(Args, BenchmarkDriverFlagsParse) {
+// perfbench/run.py passes these spellings to the benchmark binary.
+TEST(Args, PerfbenchFlagsParse) {
   const Args args = parse({"--seconds=50.0", "--seed=1", "--trace=0"});
   EXPECT_DOUBLE_EQ(args.get_double("seconds", 10.0), 50.0);
   EXPECT_EQ(args.get_uint("seed", 0), 1u);
