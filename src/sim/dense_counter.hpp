@@ -1,21 +1,30 @@
-// Direct-addressed per-round occupancy counter for the vector engine's
-// hot path.  CollisionCounter (collision_counter.hpp) pays a mix + probe
-// per touch; on substrates whose packed keys are dense in
-// [0, num_nodes) — every explicit family guarantees this — a flat
+// Direct-addressed per-round occupancy counter for the vector and
+// sharded engines' hot path.  CollisionCounter (collision_counter.hpp)
+// pays a mix + probe per touch; on substrates whose packed keys are
+// dense in [0, num_nodes) — every family guarantees this — a flat
 // epoch-stamped array answers add/occupancy with a single indexed load,
 // which is what the < 10 ns/agent-round budget demands.
 //
 // Each slot packs (epoch << 32) | count into one u64, so "stale slot
 // reads as empty" costs a shift-compare instead of a second field load,
-// and begin_round stays O(1) like the hash counter.  Counts are exactly
+// and begin_round stays O(1) like the hash counter.  add_concurrent
+// updates the same slot atomically (fetch_add on a current slot, a CAS
+// to claim a stale one), so shards can count one round at once; counts
+// are pure sums, exact for any interleaving.  Counts are exactly
 // CollisionCounter's for any key sequence (tests/test_vector_walk.cpp
-// pins dense-vs-hash equality), so which counter a walk used is
-// unobservable in its results — the vector engine picks per-topology by
-// node count (use_dense_counter) and falls back to the hash table for
-// huge implicit substrates where O(num_nodes) memory is the wrong deal.
+// and tests/test_sharded_walk.cpp pin it), so which counter a walk used
+// is unobservable in its results — the vector and sharded engines pick
+// per-topology by node count (use_dense_counter) and fall back to a
+// hash table for huge implicit substrates where O(num_nodes) memory is
+// the wrong deal.
+//
+// Phase discipline (the engines' barriers enforce it): begin_round and
+// add run alone; add_concurrent from any number of threads at once;
+// occupancy from any number of threads once no writer is left.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +63,24 @@ class DenseCollisionCounter {
     return static_cast<std::uint32_t>(fresh);
   }
 
+  /// Thread-safe add: any number of threads may record agents in the
+  /// same round, none of them alongside add() or occupancy().
+  void add_concurrent(std::uint64_t key) {
+    std::atomic_ref<std::uint64_t> slot(
+        slots_[static_cast<std::size_t>(key)]);
+    const std::uint64_t tagged = static_cast<std::uint64_t>(epoch_) << 32;
+    std::uint64_t seen = slot.load(std::memory_order_relaxed);
+    while ((seen >> 32) != epoch_) {
+      // Stale slot: claim it for this round (a lost race reloads `seen`
+      // and retries, or falls through once the winner has stamped it).
+      if (slot.compare_exchange_weak(seen, tagged + 1,
+                                     std::memory_order_relaxed)) {
+        return;
+      }
+    }
+    slot.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// Occupancy of `key` in the current round (0 if no agent there).
   std::uint32_t occupancy(std::uint64_t key) const {
     const std::uint64_t slot = slots_[static_cast<std::size_t>(key)];
@@ -72,7 +99,7 @@ class DenseCollisionCounter {
   std::uint32_t epoch_ = 0;
 };
 
-/// Policy for the vector engine's counter choice: direct addressing pays
+/// The vector and sharded engines' counter choice: direct addressing pays
 /// off while the slot array stays cache-friendly and the O(num_nodes)
 /// allocation is small next to the walk itself; beyond the cap (128 MiB
 /// of slots) the hash counter's O(agents) memory wins.

@@ -29,17 +29,20 @@
 //     loops in sim/legacy_reference.hpp.
 //   - ShardExec (engine=sharded): contiguous ShardPlan ranges, each on
 //     its own rng::derive_stream(stream_seed, shard), counted into the
-//     lock-free ConcurrentCollisionCounter.  Steps 2-4 run as one
-//     parallel phase over the shards and step 5 as a second, so a round
-//     costs two WorkerPool dispatches.  Randomness is keyed by shard,
-//     never by thread: output is a pure function of (stream_seed, cfg,
+//     direct-addressed DenseCollisionCounter through its atomic
+//     add_concurrent when use_dense_counter allows it (the lock-free
+//     hash ConcurrentCollisionCounter otherwise; counts are identical).
+//     Steps 2-4 run as one parallel phase over the shards and step 5 as
+//     a second, so a round crosses two WorkerPool barriers, which spin
+//     briefly before they park.  Randomness is keyed by shard, never by
+//     thread: output is a pure function of (stream_seed, cfg,
 //     shard_size) for ANY thread count (tests/test_sharded_walk.cpp).
 //   - VectorExec (engine=vector): one rng::WideStream (kWideLanes
 //     xoshiro lanes, lane-interleaved) driving graph::vector_step's
-//     branchless kernels, the direct-addressed DenseCollisionCounter
-//     when use_dense_counter allows it (hash counter otherwise; counts
-//     are identical), and observer noise from a scalar stream at
-//     kVectorObserverTag so movement and noise stay separated.
+//     branchless kernels, the DenseCollisionCounter under the same
+//     use_dense_counter rule (hash counter otherwise), and observer
+//     noise from a scalar stream at kVectorObserverTag so movement and
+//     noise stay separated.
 // Each policy's stream layout is an identity choice: the three engines
 // define three different (equally valid) samples, pinned by their own
 // goldens.
@@ -466,9 +469,10 @@ void step_lane(const T& topo, std::span<typename T::node_type> pos,
 }
 
 /// Counts agents [b, e) at their keys, skipping those `mask` (null =
-/// count all) marks dead.  The dense counter gets a prefetch lookahead
-/// (random keys defeat the hardware prefetcher); the concurrent counter
-/// takes its plain-speed path unless shards count at once.
+/// count all) marks dead.  The counters take their atomic path only
+/// when shards count at once, and their plain-speed path otherwise; the
+/// dense counter gets a prefetch lookahead (random keys defeat the
+/// hardware prefetcher).
 template <typename Counter>
 void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
                 const std::uint8_t* mask, std::uint32_t b, std::uint32_t e,
@@ -476,6 +480,8 @@ void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
   const auto add = [&](std::uint64_t key) {
     if constexpr (std::is_same_v<Counter, ConcurrentCollisionCounter>) {
       concurrent ? counter.add(key) : counter.add_serial(key);
+    } else if constexpr (std::is_same_v<Counter, DenseCollisionCounter>) {
+      concurrent ? counter.add_concurrent(key) : void(counter.add(key));
     } else {
       counter.add(key);
     }
@@ -492,7 +498,7 @@ void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
       if (i + kAhead < e) {
         counter.prefetch(keys[i + kAhead]);
       }
-      counter.add(keys[i]);
+      add(keys[i]);
     }
   } else {
     for (std::uint32_t i = b; i < e; ++i) {
@@ -653,10 +659,10 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
   };
 
   // The fused policy's two phases.  Its pool outlives the round loop,
-  // so each phase is a condvar wake, not a thread spawn, and the phases
-  // are wrapped in std::function once rather than per dispatch.  One
-  // thread runs the same shards in the same order, calling the phases
-  // directly, so its output is identical.
+  // so each phase is a barrier its workers mostly spin through, not a
+  // thread spawn, and the phases are wrapped in std::function once
+  // rather than per dispatch.  One thread runs the same shards in the
+  // same order, calling the phases directly, so its output is identical.
   const auto phase_a = [&](std::size_t s) {
     step(lanes[s]);
     count(lanes[s]);
@@ -736,8 +742,12 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
   ANTDENSE_CHECK(initial_positions == nullptr ||
                      initial_positions->size() == cfg.num_agents,
                  "initial positions must match agent count");
-  if constexpr (std::is_same_v<Exec, VectorExec>) {
-    if (!exec.force_hash_counter && use_dense_counter(topo.num_nodes())) {
+  if constexpr (!std::is_same_v<Exec, SingleExec>) {
+    bool dense = use_dense_counter(topo.num_nodes());
+    if constexpr (std::is_same_v<Exec, VectorExec>) {
+      dense = dense && !exec.force_hash_counter;
+    }
+    if (dense) {
       DenseCollisionCounter counter(topo.num_nodes());
       detail::run_rounds(topo, cfg, stream_seed, exec, counter,
                          initial_positions, observers...);

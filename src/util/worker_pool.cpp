@@ -1,10 +1,45 @@
 #include "util/worker_pool.hpp"
 
+#include <utility>
+
 #include "util/check.hpp"
+#include "util/parallel.hpp"
 
 namespace antdense::util {
 
-WorkerPool::WorkerPool(unsigned num_threads) : num_threads_(num_threads) {
+namespace {
+
+/// Tells the core this is a spin-wait (frees pipeline resources for the
+/// sibling hyperthread); elsewhere a plain compiler barrier stands in.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
+
+/// Spins until `ready()` holds or `budget` pauses run out; returns
+/// whether it holds.
+template <typename Pred>
+bool spin_until(unsigned budget, const Pred& ready) {
+  for (unsigned i = 0; i < budget; ++i) {
+    if (ready()) {
+      return true;
+    }
+    cpu_relax();
+  }
+  return ready();
+}
+
+}  // namespace
+
+WorkerPool::WorkerPool(unsigned num_threads)
+    : num_threads_(num_threads),
+      // A pool wider than the machine parks at once: a spinning waiter
+      // would hold the core a runnable worker needs.
+      spin_budget_(num_threads <= default_thread_count() ? kSpinIterations
+                                                         : 0) {
   ANTDENSE_CHECK(num_threads >= 1, "worker pool needs at least one thread");
   workers_.reserve(num_threads - 1);
   for (unsigned w = 0; w + 1 < num_threads; ++w) {
@@ -14,34 +49,27 @@ WorkerPool::WorkerPool(unsigned num_threads) : num_threads_(num_threads) {
 
 WorkerPool::~WorkerPool() {
   {
+    // Under the mutex so a worker between its predicate check and its
+    // wait cannot miss the flag.
     std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
+    shutdown_.store(true, std::memory_order_release);
   }
   start_cv_.notify_all();
   // jthread joins on destruction.
 }
 
-void WorkerPool::work(std::uint64_t generation) {
-  // Snapshot under the caller's lock-release: fn_/num_tasks_ are stable
-  // for the whole generation (run() only mutates them under the mutex
-  // before bumping generation_ and after the done barrier).
-  const std::function<void(std::size_t)>* fn;
-  std::size_t num_tasks;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (generation != generation_) {
-      return;  // stale wakeup; this generation is already over
-    }
-    fn = fn_;
-    num_tasks = num_tasks_;
-  }
+void WorkerPool::work() {
+  // fn_/num_tasks_ are stable for the whole generation: run() rewrites
+  // them only after every worker has left it.
+  const std::function<void(std::size_t)>& fn = *fn_;
+  const std::size_t num_tasks = num_tasks_;
   while (true) {
     const std::size_t i = next_task_.fetch_add(1, std::memory_order_relaxed);
     if (i >= num_tasks) {
       return;
     }
     try {
-      (*fn)(i);
+      fn(i);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
       if (!first_error_) {
@@ -56,25 +84,27 @@ void WorkerPool::work(std::uint64_t generation) {
 
 void WorkerPool::worker_loop() {
   std::uint64_t seen_generation = 0;
+  const auto released = [&] {
+    return shutdown_.load(std::memory_order_acquire) ||
+           generation_.load(std::memory_order_acquire) != seen_generation;
+  };
   while (true) {
-    std::uint64_t generation;
-    {
+    if (!spin_until(spin_budget_, released)) {
       std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] {
-        return shutdown_ || generation_ != seen_generation;
-      });
-      if (shutdown_) {
-        return;
-      }
-      generation = generation_;
-      seen_generation = generation;
+      start_cv_.wait(lock, released);
     }
-    work(generation);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (--workers_active_ == 0) {
-        done_cv_.notify_one();
-      }
+    if (shutdown_.load(std::memory_order_acquire)) {
+      return;
+    }
+    // run() cannot start another generation before this worker leaves
+    // the current one, so every worker joins every generation once.
+    seen_generation = generation_.load(std::memory_order_acquire);
+    work();
+    if (workers_active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      // The caller may be between its predicate check and its wait;
+      // taking the mutex orders this notify after it.
+      { const std::lock_guard<std::mutex> lock(mutex_); }
+      done_cv_.notify_one();
     }
   }
 }
@@ -84,25 +114,29 @@ void WorkerPool::run(std::size_t num_tasks,
   if (num_tasks == 0) {
     return;
   }
-  std::uint64_t generation;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     fn_ = &fn;
     num_tasks_ = num_tasks;
     next_task_.store(0, std::memory_order_relaxed);
-    workers_active_ = static_cast<unsigned>(workers_.size());
-    generation = ++generation_;
+    workers_active_.store(static_cast<unsigned>(workers_.size()),
+                          std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   start_cv_.notify_all();
-  work(generation);  // the caller is one of the pool's threads
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return workers_active_ == 0; });
+  work();  // the caller is one of the pool's threads
+  const auto done = [&] {
+    return workers_active_.load(std::memory_order_acquire) == 0;
+  };
+  if (!spin_until(spin_budget_, done)) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    done_cv_.wait(lock, done);
+  }
+  // Every worker has left this generation, so nothing else touches the
+  // fields below until the next run().
   fn_ = nullptr;
   if (first_error_) {
-    std::exception_ptr error = first_error_;
-    first_error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(error);
+    std::rethrow_exception(std::exchange(first_error_, nullptr));
   }
 }
 

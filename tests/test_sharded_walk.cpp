@@ -3,10 +3,10 @@
 // merged output is bit-identical for ANY thread count — threads ∈
 // {1, 2, 8} here — across every topology family and every workload
 // observer, including the noise paths that draw from per-shard streams.
-// Also covers the ShardPlan layout, the lock-free collision counter's
-// serial/concurrent parity, statistical sanity of the sharded stream
-// (Algorithm 1 stays unbiased), and thread-count invariance at the
-// scenario::Experiment level for engine=sharded specs.
+// Also covers the ShardPlan layout, the dense and lock-free hash
+// collision counters' serial/concurrent parity, statistical sanity of
+// the sharded stream (Algorithm 1 stays unbiased), and thread-count
+// invariance at the scenario::Experiment level for engine=sharded specs.
 #include "sim/walk_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/concurrent_counter.hpp"
+#include "sim/dense_counter.hpp"
 #include "sim/density_sim.hpp"
 #include "stats/accumulator.hpp"
 #include "util/worker_pool.hpp"
@@ -74,7 +75,7 @@ TEST(ShardPlan, RejectsDegenerateInputs) {
   EXPECT_THROW(ShardPlan::make(10, 0), std::invalid_argument);
 }
 
-// --- The lock-free counter -------------------------------------------
+// --- The occupancy counters ------------------------------------------
 
 TEST(ConcurrentCounter, SerialAndConcurrentAddsAgree) {
   // Same keys through add_serial, single-threaded add, and genuinely
@@ -103,6 +104,36 @@ TEST(ConcurrentCounter, SerialAndConcurrentAddsAgree) {
     EXPECT_EQ(serial.occupancy(k), expect) << k;
     EXPECT_EQ(atomic_1t.occupancy(k), expect) << k;
     EXPECT_EQ(parallel.occupancy(k), expect) << k;
+  }
+}
+
+TEST(DenseCounter, SerialAndConcurrentAddsAgree) {
+  // Same heavily colliding keys through serial add and through
+  // add_concurrent from a pool, over two rounds so the second round's
+  // stale-slot claims race too: occupancy must be exact in both.
+  constexpr std::uint64_t kKeys = 40;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> expect(kKeys, 0);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    keys.push_back((i * 7) % 37);
+    ++expect[keys.back()];
+  }
+  DenseCollisionCounter serial(kKeys);
+  DenseCollisionCounter parallel(kKeys);
+  util::WorkerPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    serial.begin_round();
+    parallel.begin_round();
+    for (std::uint64_t k : keys) {
+      serial.add(k);
+    }
+    pool.run(keys.size(),
+             [&](std::size_t i) { parallel.add_concurrent(keys[i]); });
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(serial.occupancy(k), expect[k]) << k;
+      EXPECT_EQ(parallel.occupancy(k), expect[k]) << k;
+    }
   }
 }
 

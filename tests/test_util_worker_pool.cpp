@@ -1,16 +1,20 @@
 // Tests for util::WorkerPool — the sharded engine's substrate.  The
 // pool's contract: every index runs exactly once per run(), run() is a
 // full barrier, the pool is reusable across thousands of run() calls
-// (one pair per walk round), and the first task exception surfaces on
-// the caller after the barrier without poisoning later runs.
+// (one pair per walk round) whether its workers catch a run while
+// spinning or after parking, it shuts down from either state, and the
+// first task exception surfaces on the caller after the barrier without
+// poisoning later runs.
 #include "util/worker_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace antdense::util {
@@ -61,6 +65,34 @@ TEST(WorkerPool, ReusableAcrossManyRuns) {
     });
   }
   EXPECT_EQ(total.load(), 2000ull * (7ull * 8ull / 2ull));
+}
+
+TEST(WorkerPool, RunsAgainAfterWorkersPark) {
+  // A sleep far past the spin window sends every worker to its condvar;
+  // the next run() must wake them all and still run each index once.
+  WorkerPool pool(4);
+  std::vector<std::atomic<int>> hits(64);
+  const auto tally = [&](std::size_t i) { hits[i].fetch_add(1); };
+  pool.run(hits.size(), tally);
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  pool.run(hits.size(), tally);
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 2) << "index " << i;
+  }
+}
+
+TEST(WorkerPool, DestroyedWhileWorkersSpin) {
+  // Right after a run() the workers are still spinning for the next
+  // generation (two threads: narrow enough to spin on any multi-core
+  // host); destruction must release and join them from there.
+  for (int rep = 0; rep < 50; ++rep) {
+    std::atomic<int> count{0};
+    {
+      WorkerPool pool(2);
+      pool.run(8, [&](std::size_t) { count.fetch_add(1); });
+    }
+    EXPECT_EQ(count.load(), 8);
+  }
 }
 
 TEST(WorkerPool, FirstExceptionPropagatesAndPoolSurvives) {
