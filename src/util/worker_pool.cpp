@@ -3,11 +3,19 @@
 #include <utility>
 
 #include "util/check.hpp"
-#include "util/parallel.hpp"
 
 namespace antdense::util {
 
 namespace {
+
+/// Iterations a waiter spins through before it parks: about half a
+/// millisecond on a recent x86 core, long enough to span the serial gap
+/// and the shard imbalance between two engine phases.
+constexpr unsigned kSpinIterations = 1u << 14;
+/// Every this many iterations the spinner yields instead of pausing, so
+/// a waiter that shares its core with the thread it waits for (a pool
+/// wider than the machine, or a busy host) steps aside for it.
+constexpr unsigned kYieldEvery = 64;
 
 /// Tells the core this is a spin-wait (frees pipeline resources for the
 /// sibling hyperthread); elsewhere a plain compiler barrier stands in.
@@ -19,27 +27,26 @@ inline void cpu_relax() {
 #endif
 }
 
-/// Spins until `ready()` holds or `budget` pauses run out; returns
+/// Spins until `ready()` holds or the spin budget runs out; returns
 /// whether it holds.
 template <typename Pred>
-bool spin_until(unsigned budget, const Pred& ready) {
-  for (unsigned i = 0; i < budget; ++i) {
+bool spin_until(const Pred& ready) {
+  for (unsigned i = 1; i <= kSpinIterations; ++i) {
     if (ready()) {
       return true;
     }
-    cpu_relax();
+    if (i % kYieldEvery == 0) {
+      std::this_thread::yield();
+    } else {
+      cpu_relax();
+    }
   }
   return ready();
 }
 
 }  // namespace
 
-WorkerPool::WorkerPool(unsigned num_threads)
-    : num_threads_(num_threads),
-      // A pool wider than the machine parks at once: a spinning waiter
-      // would hold the core a runnable worker needs.
-      spin_budget_(num_threads <= default_thread_count() ? kSpinIterations
-                                                         : 0) {
+WorkerPool::WorkerPool(unsigned num_threads) : num_threads_(num_threads) {
   ANTDENSE_CHECK(num_threads >= 1, "worker pool needs at least one thread");
   workers_.reserve(num_threads - 1);
   for (unsigned w = 0; w + 1 < num_threads; ++w) {
@@ -89,7 +96,7 @@ void WorkerPool::worker_loop() {
            generation_.load(std::memory_order_acquire) != seen_generation;
   };
   while (true) {
-    if (!spin_until(spin_budget_, released)) {
+    if (!spin_until(released)) {
       std::unique_lock<std::mutex> lock(mutex_);
       start_cv_.wait(lock, released);
     }
@@ -128,7 +135,7 @@ void WorkerPool::run(std::size_t num_tasks,
   const auto done = [&] {
     return workers_active_.load(std::memory_order_acquire) == 0;
   };
-  if (!spin_until(spin_budget_, done)) {
+  if (!spin_until(done)) {
     std::unique_lock<std::mutex> lock(mutex_);
     done_cv_.wait(lock, done);
   }

@@ -7,12 +7,13 @@
 // WorkerPool keeps its std::jthread workers alive across run() calls so
 // a phase costs a barrier crossing instead of a thread spawn.  Both
 // sides of the barrier — workers waiting for the next run(), the caller
-// waiting for the last worker — first spin on atomics for kSpinIterations
-// pause instructions, and only then park on a condition variable: the
-// engine's phases follow each other within microseconds, so a spinning
-// worker catches the next one without a futex wake, while a pool left
-// idle (between trials, after the walk) parks within a bounded spin.  A
-// pool wider than the machine's hardware threads never spins.
+// waiting for the last worker — first spin on atomics for a bounded,
+// compile-time number of pause instructions (with an occasional yield,
+// so a spinner never starves a thread that shares its core), and only
+// then park on a condition variable: the engine's phases follow each
+// other within microseconds, so a spinning worker catches the next one
+// without a futex wake, while a pool left idle (between trials, after
+// the walk) parks within a millisecond.
 //
 // Each run(num_tasks, fn) invokes fn(i) for every i in [0, num_tasks)
 // exactly once, handing indices out through an atomic counter (shards
@@ -55,15 +56,10 @@ class WorkerPool {
   void run(std::size_t num_tasks, const std::function<void(std::size_t)>& fn);
 
  private:
-  /// Pause iterations a waiter spins through before it parks (about
-  /// 0.1-1 ms on x86, depending on the core's pause latency).
-  static constexpr unsigned kSpinIterations = 1u << 14;
-
   void worker_loop();
   void work();
 
   const unsigned num_threads_;
-  const unsigned spin_budget_;  // kSpinIterations, or 0 if oversubscribed
 
   // run() writes fn_/num_tasks_ under the mutex and publishes them with
   // the release bump of generation_; a worker that sees the bump may
