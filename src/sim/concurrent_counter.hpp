@@ -1,5 +1,7 @@
 // Thread-safe per-round node-occupancy counter: the sharded engine's
-// counterpart of sim::CollisionCounter.
+// counterpart of sim::CollisionCounter on graphs beyond
+// use_dense_counter's cap (sim/dense_counter.hpp covers the rest), and
+// PropertyObserver's property counter.
 //
 // Same design — open-addressing table keyed by the packed node key,
 // epoch-stamped slots so begin_round() is O(1), capacity sized once for
