@@ -83,8 +83,7 @@ TEST(WorkerPool, RunsAgainAfterWorkersPark) {
 
 TEST(WorkerPool, DestroyedWhileWorkersSpin) {
   // Right after a run() the workers are still spinning for the next
-  // generation (two threads: narrow enough to spin on any multi-core
-  // host); destruction must release and join them from there.
+  // generation; destruction must release and join them from there.
   for (int rep = 0; rep < 50; ++rep) {
     std::atomic<int> count{0};
     {
