@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <random>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace antdense::util {
 namespace {
@@ -15,6 +23,120 @@ TEST(JsonValue, DumpsScalars) {
   EXPECT_EQ(JsonValue(-7.0).dump(), "-7");
   EXPECT_EQ(JsonValue(0.5).dump(), "0.5");
   EXPECT_EQ(JsonValue("hi").dump(), "\"hi\"");
+}
+
+// The number contract, pinned byte for byte: integral values below 2^53
+// print as integers (negative zero keeps its sign, as printf's %.0f
+// spells it) and everything else prints as printf's %.17g.
+TEST(JsonValue, NumberBytesArePinned) {
+  const struct {
+    double value;
+    const char* bytes;
+  } table[] = {
+      {0.1, "0.10000000000000001"},
+      {0.145, "0.14499999999999999"},
+      {0.095, "0.095000000000000001"},
+      {1.0 / 3, "0.33333333333333331"},
+      {-2.5e-7, "-2.4999999999999999e-07"},
+      {-0.0, "-0"},
+      {0.0, "0"},
+      {9007199254740991.0, "9007199254740991"},   // 2^53 - 1
+      {-9007199254740991.0, "-9007199254740991"},
+      {9007199254740992.0, "9007199254740992"},   // 2^53, via %.17g
+      {1e21, "1e+21"},
+      {5e-324, "4.9406564584124654e-324"},
+      {DBL_MAX, "1.7976931348623157e+308"},
+      {-DBL_MAX, "-1.7976931348623157e+308"},
+  };
+  for (const auto& row : table) {
+    SCOPED_TRACE(row.bytes);
+    EXPECT_EQ(JsonValue(row.value).dump(), row.bytes);
+  }
+}
+
+/// printf reference for the number contract; the writer must match it
+/// byte for byte on every finite double.
+std::string printf_reference(double v) {
+  char buf[64];
+  if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+    std::snprintf(buf, sizeof(buf), "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+  }
+  return buf;
+}
+
+/// Seeded differential set: finite random bit patterns (every exponent,
+/// subnormals included), c/t ratios like the density estimates a result
+/// carries, and integers around the 2^53 switch-over.
+std::vector<double> differential_set() {
+  std::mt19937_64 gen(20160725);
+  std::vector<double> values;
+  while (values.size() < 100000) {
+    const double v = std::bit_cast<double>(gen());
+    if (std::isfinite(v)) {
+      values.push_back(v);
+    }
+  }
+  std::uniform_int_distribution<std::uint64_t> collisions(0, 20000);
+  std::uniform_int_distribution<std::uint64_t> rounds(1, 5000);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(static_cast<double>(collisions(gen)) /
+                     static_cast<double>(rounds(gen)));
+  }
+  for (double base : {9007199254740992.0, 1e15, 1.0}) {
+    for (int k = -3; k <= 3; ++k) {
+      values.push_back(base + k);
+      values.push_back(-(base + k));
+    }
+  }
+  return values;
+}
+
+TEST(JsonValue, NumberBytesMatchPrintfOnTheDifferentialSet) {
+  std::size_t mismatches = 0;
+  for (const double v : differential_set()) {
+    const std::string got = JsonValue(v).dump();
+    const std::string want = printf_reference(v);
+    if (got != want && mismatches++ < 5) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": got "
+                    << got << ", want " << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonValue, ParseOfDumpIsBitIdentical) {
+  const std::vector<double> values = differential_set();
+  JsonValue doc = JsonValue::array();
+  for (const double v : values) {
+    doc.push_back(v);
+  }
+  const JsonValue back = JsonValue::parse(doc.dump(0));
+  ASSERT_EQ(back.items().size(), values.size());
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double got = back.items()[i].as_double();
+    if (std::bit_cast<std::uint64_t>(got) !=
+            std::bit_cast<std::uint64_t>(values[i]) &&
+        mismatches++ < 5) {
+      ADD_FAILURE() << "index " << i << ": " << values[i] << " parsed back as "
+                    << got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonParse, OutOfRangeNumbersKeepTheirValues) {
+  // Beyond the double range the parser saturates like strtod: overflow
+  // to infinity, underflow to zero (sign kept).
+  EXPECT_EQ(JsonValue::parse("1e400").as_double(), HUGE_VAL);
+  EXPECT_EQ(JsonValue::parse("-1e400").as_double(), -HUGE_VAL);
+  EXPECT_EQ(JsonValue::parse("1e-400").as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(JsonValue::parse("-1e-400").as_double()));
+  EXPECT_EQ(JsonValue::parse("4.9406564584124654e-324").as_double(), 5e-324);
+  EXPECT_EQ(JsonValue::parse("-0").as_double(), 0.0);
+  EXPECT_TRUE(std::signbit(JsonValue::parse("-0").as_double()));
 }
 
 TEST(JsonValue, EscapesStrings) {
