@@ -145,19 +145,19 @@ util::JsonValue ScenarioResult::to_json() const {
   summary_doc.set("min", summary.min);
   summary_doc.set("max", summary.max);
   summary_doc.set("within_eps", summary.within_eps);
-  doc.set("summary", summary_doc);
+  doc.set("summary", std::move(summary_doc));
 
   util::JsonValue estimates_doc = util::JsonValue::array();
   for (double e : estimates) {
     estimates_doc.push_back(e);
   }
-  doc.set("estimates", estimates_doc);
+  doc.set("estimates", std::move(estimates_doc));
 
   util::JsonValue checkpoints_doc = util::JsonValue::array();
   for (std::uint32_t c : checkpoints) {
     checkpoints_doc.push_back(c);
   }
-  doc.set("checkpoints", checkpoints_doc);
+  doc.set("checkpoints", std::move(checkpoints_doc));
 
   util::JsonValue series_doc = util::JsonValue::array();
   for (const auto& trace : series) {
@@ -167,7 +167,7 @@ util::JsonValue ScenarioResult::to_json() const {
     }
     series_doc.push_back(std::move(trace_doc));
   }
-  doc.set("series", series_doc);
+  doc.set("series", std::move(series_doc));
 
   doc.set("elapsed_seconds", elapsed_seconds);
   doc.set("elapsed_ns", elapsed_ns);

@@ -1,10 +1,13 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 
 namespace antdense::util {
 
@@ -21,21 +24,33 @@ namespace {
 /// artifact this repo emits comes anywhere near 64 levels.
 constexpr int kMaxNestingDepth = 64;
 
-std::string format_number(double v) {
+/// Appends v under the number contract in json.hpp.  Both branches
+/// write through std::to_chars, which formats without locale or
+/// allocation; the general/17 form is defined as printf's %.17g, so the
+/// bytes are the ones snprintf would print.
+void append_number(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw std::invalid_argument("json: cannot serialize non-finite number");
   }
+  char buf[32];  // "-d.dddddddddddddddde-308" is 24 bytes
+  char* end = nullptr;
   // Integral values inside the double-exact range print as integers so
   // counts stay counts; everything else gets enough digits to round-trip.
   constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (v == std::floor(v) && std::fabs(v) < kExact) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.0f", v);
-    return buf;
+  if (std::fabs(v) < kExact &&
+      static_cast<double>(static_cast<std::int64_t>(v)) == v) {
+    if (v == 0.0 && std::signbit(v)) {
+      out += "-0";  // %.0f keeps the sign of negative zero
+      return;
+    }
+    end = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(v))
+              .ptr;
+  } else {
+    end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
+                        17)
+              .ptr;
   }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
+  out.append(buf, end);
 }
 
 /// Recursive-descent parser over the raw text.
@@ -256,21 +271,27 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-')) {
       ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
+    const std::string_view token(text_.data() + start, pos_ - start);
     if (!matches_number_grammar(token)) {
-      fail("malformed number '" + token + "'", start);
+      fail("malformed number '" + std::string(token) + "'", start);
     }
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end == nullptr || *end != '\0') {
-      fail("malformed number '" + token + "'", start);
+    double v = 0.0;
+    const char* const last = token.data() + token.size();
+    const auto [end, ec] = std::from_chars(token.data(), last, v);
+    if (ec == std::errc::result_out_of_range) {
+      // from_chars leaves v untouched when the value over- or underflows;
+      // strtod saturates (+-HUGE_VAL, a signed zero), which is what the
+      // parser has always returned for 1e400 or 1e-400.
+      v = std::strtod(std::string(token).c_str(), nullptr);
+    } else if (ec != std::errc() || end != last) {
+      fail("malformed number '" + std::string(token) + "'", start);
     }
     return JsonValue(v);
   }
 
   /// RFC 8259 number grammar: -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
-  /// — strtod alone would also accept "01", "-.5", or "1.".
-  static bool matches_number_grammar(const std::string& token) {
+  /// — from_chars alone would also accept "01", "-.5", or "1.".
+  static bool matches_number_grammar(std::string_view token) {
     std::size_t i = 0;
     const auto digit = [&](std::size_t j) {
       return j < token.size() &&
@@ -466,75 +487,63 @@ bool JsonValue::erase(const std::string& key) {
 }
 
 void JsonValue::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad(indent > 0 ? static_cast<std::size_t>(indent) *
-                                         (static_cast<std::size_t>(depth) + 1)
-                                   : 0,
-                        ' ');
-  const std::string close_pad(
-      indent > 0 ? static_cast<std::size_t>(indent) *
-                       static_cast<std::size_t>(depth)
-                 : 0,
-      ' ');
-  const char* nl = indent > 0 ? "\n" : "";
-  const char* kv_sep = indent > 0 ? ": " : ":";
   switch (kind_) {
     case Kind::kNull:
       out += "null";
-      break;
+      return;
     case Kind::kBool:
       out += bool_ ? "true" : "false";
-      break;
+      return;
     case Kind::kNumber:
-      out += format_number(num_);
-      break;
+      append_number(out, num_);
+      return;
     case Kind::kString:
       out += '"';
       out += json_escape(str_);
       out += '"';
+      return;
+    case Kind::kArray:
+    case Kind::kObject:
       break;
-    case Kind::kArray: {
-      if (array_.empty()) {
-        out += "[]";
-        break;
-      }
-      out += '[';
-      out += nl;
-      for (std::size_t i = 0; i < array_.size(); ++i) {
-        out += pad;
-        array_[i].dump_to(out, indent, depth + 1);
-        if (i + 1 < array_.size()) {
-          out += ',';
-        }
-        out += nl;
-      }
-      out += close_pad;
-      out += ']';
-      break;
+  }
+  const bool is_array = kind_ == Kind::kArray;
+  const std::size_t size = is_array ? array_.size() : object_.size();
+  if (size == 0) {
+    out += is_array ? "[]" : "{}";
+    return;
+  }
+  // Pretty-printing puts each member on its own line, one indent deeper
+  // than the brackets; compact output has no whitespace at all.
+  const bool pretty = indent > 0;
+  const std::size_t close_pad =
+      pretty ? static_cast<std::size_t>(indent) *
+                   static_cast<std::size_t>(depth)
+             : 0;
+  const std::size_t pad =
+      pretty ? close_pad + static_cast<std::size_t>(indent) : 0;
+  out += is_array ? '[' : '{';
+  for (std::size_t i = 0; i < size; ++i) {
+    if (pretty) {
+      out += '\n';
     }
-    case Kind::kObject: {
-      if (object_.empty()) {
-        out += "{}";
-        break;
-      }
-      out += '{';
-      out += nl;
-      for (std::size_t i = 0; i < object_.size(); ++i) {
-        out += pad;
-        out += '"';
-        out += json_escape(object_[i].first);
-        out += '"';
-        out += kv_sep;
-        object_[i].second.dump_to(out, indent, depth + 1);
-        if (i + 1 < object_.size()) {
-          out += ',';
-        }
-        out += nl;
-      }
-      out += close_pad;
-      out += '}';
-      break;
+    out.append(pad, ' ');
+    if (is_array) {
+      array_[i].dump_to(out, indent, depth + 1);
+    } else {
+      out += '"';
+      out += json_escape(object_[i].first);
+      out += pretty ? "\": " : "\":";
+      object_[i].second.dump_to(out, indent, depth + 1);
+    }
+    if (i + 1 < size) {
+      out += ',';
     }
   }
+  if (pretty) {
+    out += '\n';
+  }
+  out.append(close_pad, ' ');
+  out += is_array ? ']' : '}';
 }
 
 std::string JsonValue::dump(int indent) const {
