@@ -111,11 +111,15 @@ const char* kind_name(int kind) {
 }
 
 /// Formats a double the way the exposition format expects: integers
-/// without a fractional part, everything else with enough digits to
-/// round-trip.
+/// without a fractional part, infinities as +Inf/-Inf, everything else
+/// with enough digits to round-trip.
 std::string format_number(double v) {
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 9.007199254740992e15) {
+  if (!std::isfinite(v)) {
+    return std::isnan(v) ? "NaN" : (v > 0 ? "+Inf" : "-Inf");
+  }
+  // Range first: casting a double outside int64_t's range is undefined.
+  if (std::abs(v) < 9.007199254740992e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     return std::to_string(static_cast<std::int64_t>(v));
   }
   // Shortest representation that round-trips: bucket bounds read as

@@ -208,6 +208,21 @@ TEST(ObsRegistry, PrometheusExpositionFormat) {
   EXPECT_NE(text.find("lat_seconds_sum 0.0001\n"), std::string::npos);
 }
 
+TEST(ObsRegistry, PrometheusFormatsLargeAndInfiniteValues) {
+  // A bound past int64_t's range prints in exponent form (the integer
+  // branch must check the range before it casts), and an infinite
+  // observation reaches _sum as the exposition format's +Inf.
+  MetricsRegistry reg;
+  reg.histogram("big", {1.0, 1e19}, {}).observe(
+      std::numeric_limits<double>::infinity());
+  const std::string text = reg.to_prometheus();
+  EXPECT_NE(text.find("big_bucket{le=\"1e+19\"} 0\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("big_bucket{le=\"+Inf\"} 1\n"), std::string::npos);
+  EXPECT_NE(text.find("big_sum +Inf\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("big_count 1\n"), std::string::npos);
+}
+
 TEST(ObsRegistry, FormatLabels) {
   EXPECT_EQ(format_labels({}), "");
   EXPECT_EQ(format_labels({{"a", "x"}, {"b", "y"}}),
