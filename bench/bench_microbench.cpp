@@ -1,6 +1,8 @@
 // E17 — engine microbenchmarks (google-benchmark): raw step throughput
-// per topology, collision-counter operations, and full simulator rounds.
-// These are the numbers that size every other experiment's runtime.
+// per topology, collision-counter operations, full simulator rounds, and
+// the result serialize / parse layer every request and journal line
+// pays.  These are the numbers that size every other experiment's
+// runtime.
 #include <benchmark/benchmark.h>
 
 #include "graph/complete.hpp"
@@ -11,8 +13,10 @@
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
 #include "rng/xoshiro256pp.hpp"
+#include "scenario/experiment.hpp"
 #include "sim/collision_counter.hpp"
 #include "sim/density_sim.hpp"
+#include "util/json.hpp"
 
 namespace antdense {
 namespace {
@@ -101,6 +105,50 @@ void BM_DensitySimRound(benchmark::State& state) {
                           static_cast<std::int64_t>(agents));
 }
 BENCHMARK(BM_DensitySimRound)->Arg(512)->Arg(6554);
+
+/// A density result the size of one walk-regular experiment: 60k
+/// per-agent estimates c/t, each a full 17-digit number in the document.
+const scenario::ScenarioResult& large_result() {
+  static const scenario::ScenarioResult result = [] {
+    scenario::ScenarioResult r;
+    r.spec.topology = "torus2d:222x222";
+    r.spec.agents = 60000;
+    r.spec.rounds = 394;
+    r.topology_name = "torus2d(222x222)";
+    r.num_nodes = 222 * 222;
+    r.true_value = 59999.0 / (222.0 * 222.0);
+    rng::Xoshiro256pp gen(6);
+    r.estimates.resize(60000);
+    for (double& e : r.estimates) {
+      e = static_cast<double>(gen() % 2000) / 394.0;
+    }
+    return r;
+  }();
+  return result;
+}
+
+void BM_ResultDump(benchmark::State& state) {
+  const scenario::ScenarioResult& result = large_result();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = result.to_json().dump(0);
+    bytes = text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ResultDump)->Unit(benchmark::kMillisecond);
+
+void BM_JsonParse(benchmark::State& state) {
+  const std::string text = large_result().to_json().dump(0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(util::JsonValue::parse(text));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_JsonParse)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace antdense
