@@ -134,6 +134,7 @@ void BM_ResultDump(benchmark::State& state) {
     const std::string text = result.to_json().dump(0);
     bytes = text.size();
     benchmark::DoNotOptimize(text.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));

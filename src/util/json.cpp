@@ -33,17 +33,17 @@ void append_number(std::string& out, double v) {
     throw std::invalid_argument("json: cannot serialize non-finite number");
   }
   char buf[32];  // "-d.dddddddddddddddde-308" is 24 bytes
-  char* end = nullptr;
+  char* end = buf;
   // Integral values inside the double-exact range print as integers so
   // counts stay counts; everything else gets enough digits to round-trip.
   constexpr double kExact = 9007199254740992.0;  // 2^53
-  if (std::fabs(v) < kExact &&
-      static_cast<double>(static_cast<std::int64_t>(v)) == v) {
-    if (v == 0.0 && std::signbit(v)) {
-      out += "-0";  // %.0f keeps the sign of negative zero
-      return;
+  const double magnitude = std::fabs(v);
+  if (magnitude < kExact && magnitude == std::trunc(magnitude)) {
+    if (std::signbit(v)) {
+      *end++ = '-';  // also for -0.0, which %.0f prints as "-0"
     }
-    end = std::to_chars(buf, buf + sizeof(buf), static_cast<std::int64_t>(v))
+    end = std::to_chars(end, buf + sizeof(buf),
+                        static_cast<std::uint64_t>(magnitude))
               .ptr;
   } else {
     end = std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general,
