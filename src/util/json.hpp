@@ -4,10 +4,24 @@
 // dependency: the repo bakes its own tiny implementation so CI artifacts
 // and spec files round-trip through one code path.
 //
-// Scope (deliberate): UTF-8 text, doubles for all numbers (integral
-// values in |v| < 2^53 print without a fractional part, which covers
-// every agent/round/node count the repo emits), ordered objects so
-// emitted documents are stable and diffable.  parse() accepts strict
+// Scope (deliberate): UTF-8 text, doubles for all numbers, ordered
+// objects so emitted documents are stable and diffable.
+//
+// Number contract (result hashes and cached payloads depend on these
+// exact bytes):
+//   - an integral value with |v| < 2^53 prints as integer text, which
+//     covers every agent/round/node count the repo emits; negative zero
+//     prints "-0" (what printf's %.0f spells);
+//   - every other finite value prints exactly printf's "%.17g" bytes in
+//     the C locale, 17 significant digits, so it round-trips;
+//   - non-finite values throw.
+// std::to_chars writes both forms straight into the output (no locale,
+// no per-number allocation), and parse() reads numbers back with
+// std::from_chars, so parse(dump(x)) is bit-identical to x for every
+// finite double.  Out-of-range input saturates as strtod does ("1e400"
+// is infinity, "1e-400" zero).
+//
+// parse() accepts strict
 // JSON (RFC 8259) minus surrogate-pair escapes and throws
 // std::invalid_argument with position info on malformed input;
 // containers may nest at most 64 deep (pathological nesting raises the
