@@ -148,6 +148,24 @@ TEST(DynamicScenarios, StaticResultsAreByteIdenticalToPreDynamicsBuild) {
       {R"({"topology":"hypercube:9","workload":"trajectory","tracked":4,
            "checkpoints":5,"agents":32,"rounds":20,"engine":"single"})",
        "9750d6ebb2ecb794"},
+      // Lazy trajectories and lazy property fan-outs: the lazy knob and
+      // the trial fan-out each reach the workload driver's walk.
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,"lazy":0.25,
+           "engine":"single"})",
+       "0f245a3902c1b1a9"},
+      {R"({"topology":"hypercube:10","workload":"trajectory","tracked":4,
+           "checkpoints":5,"agents":32,"rounds":20,"seed":11,"lazy":0.25,
+           "engine":"vector"})",
+       "5c9be4515e3c94ea"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"lazy":0.25,
+           "trials":2,"engine":"single"})",
+       "2296b9baf319b76e"},
+      {R"({"topology":"ring:1024","workload":"property","agents":50,
+           "rounds":12,"property-fraction":0.25,"seed":9,"lazy":0.25,
+           "trials":2,"engine":"sharded","threads":2})",
+       "586de3f0c6eadb5b"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
@@ -185,6 +203,12 @@ TEST(DynamicScenarios, DynamicResultsArePinned) {
            "rounds":30,"seed":3,"engine":"vector",
            "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
        "353f81c74e28e853"},
+      // A churned trial fan-out on the vector engine: one fresh model
+      // per derived trial seed.
+      {R"({"topology":"torus2d:16x16","workload":"density","agents":32,
+           "rounds":30,"seed":3,"trials":2,"engine":"vector",
+           "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
+       "99439eda9a56d069"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
