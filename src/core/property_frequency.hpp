@@ -35,13 +35,15 @@ struct PropertyFrequencyResult {
 /// Runs the two-rate tracker with `num_property` of the `num_agents`
 /// agents carrying property P (assigned uniformly at random, matching the
 /// paper's uniform-distribution assumption).  Agents with zero total
-/// encounters report frequency 0.
-template <graph::Topology T>
-PropertyFrequencyResult estimate_property_frequency(const T& topo,
-                                                    std::uint32_t num_agents,
-                                                    std::uint32_t num_property,
-                                                    std::uint32_t rounds,
-                                                    std::uint64_t seed) {
+/// encounters report frequency 0.  `lazy_probability` and `exec` pass
+/// through to run_property_walk (§6.1 laziness, engine policy); the
+/// property assignment draws from its own stream, the same on every
+/// engine.
+template <graph::Topology T, sim::ExecPolicy Exec = sim::SingleExec>
+PropertyFrequencyResult estimate_property_frequency(
+    const T& topo, std::uint32_t num_agents, std::uint32_t num_property,
+    std::uint32_t rounds, std::uint64_t seed, double lazy_probability = 0.0,
+    const Exec& exec = {}) {
   ANTDENSE_CHECK(num_agents >= 2, "need at least two agents");
   ANTDENSE_CHECK(num_property <= num_agents,
                  "property count cannot exceed agent count");
@@ -58,8 +60,9 @@ PropertyFrequencyResult estimate_property_frequency(const T& topo,
   sim::DensityConfig cfg;
   cfg.num_agents = num_agents;
   cfg.rounds = rounds;
+  cfg.lazy_probability = lazy_probability;
   const sim::PropertyResult raw =
-      sim::run_property_walk(topo, cfg, has_property, seed);
+      sim::run_property_walk(topo, cfg, has_property, seed, exec);
 
   PropertyFrequencyResult out;
   out.rounds = rounds;

@@ -241,7 +241,13 @@ util::JsonValue MetricsRegistry::to_json() const {
         item.set("upper_bounds", std::move(bounds));
         item.set("buckets", std::move(counts));
         item.set("count", snap.count);
-        item.set("sum", snap.sum);
+        // JSON has no infinities or NaN: a non-finite sum takes the
+        // exposition format's spelling, as a string.
+        if (std::isfinite(snap.sum)) {
+          item.set("sum", snap.sum);
+        } else {
+          item.set("sum", format_number(snap.sum));
+        }
         break;
       }
     }

@@ -13,6 +13,7 @@
 #include "scenario/dynamics_registry.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/dynamic_world.hpp"
+#include "sim/trajectory.hpp"
 #include "sim/trial_runner.hpp"
 #include "sim/walk_engine.hpp"
 #include "stats/accumulator.hpp"
@@ -229,41 +230,32 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   with_engine(spec_.engine, walk_threads, [&](const auto& exec) {
     switch (spec_.workload) {
       case Workload::kDensity: {
-        // One trial matches run_density_walk(seed) on the engine exactly;
-        // fan-outs pool derived per-trial streams through the parallel
-        // trial runner.  Dynamic worlds keep the walk stream (tag 0x51),
-        // mutate between rounds from the model's own derived stream, and
-        // build a fresh model per trial so trials stay independent and
-        // order-free.
-        if (spec_.dynamics.empty() && spec_.trials == 1) {
-          RoundProgressObserver progress(hooks, spec_.rounds);
-          result.estimates =
-              sim::run_density_walk(topo_, cfg, spec_.seed, exec, nullptr,
-                                    progress)
-                  .estimates();
-        } else if (spec_.dynamics.empty()) {
-          TrialProgress progress(hooks, spec_.trials);
-          result.estimates = sim::collect_all_agent_estimates(
-              topo_, cfg, spec_.seed, spec_.trials, spec_.threads,
-              progress.callback(), exec);
-        } else if (spec_.trials == 1) {
-          RoundProgressObserver progress(hooks, spec_.rounds);
+        // One driver call per seed: run_density_walk, or on a dynamic
+        // world run_dynamic_density_walk on the same walk stream (tag
+        // 0x51) with a fresh model per call, so trials stay independent
+        // and order-free.  One trial runs on the spec's seed with the
+        // round-progress tap; fan-outs pool derived per-trial seeds.
+        const auto density_walk = [&](std::uint64_t seed, auto&... extra) {
+          if (spec_.dynamics.empty()) {
+            return sim::run_density_walk(topo_, cfg, seed, exec, nullptr,
+                                         extra...)
+                .estimates();
+          }
           const std::unique_ptr<sim::WorldDynamics> model =
               DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
                                                 spec_.agents);
-          result.estimates = sim::run_dynamic_density_walk(
-              topo_, cfg, *model, spec_.seed, exec, progress);
+          return sim::run_dynamic_density_walk(topo_, cfg, *model, seed,
+                                               exec, extra...);
+        };
+        if (spec_.trials == 1) {
+          RoundProgressObserver progress(hooks, spec_.rounds);
+          result.estimates = density_walk(spec_.seed, progress);
         } else {
           TrialProgress progress(hooks, spec_.trials);
           result.estimates = sim::pool_trial_estimates(
               spec_.trials, spec_.agents, spec_.threads,
               [&](std::size_t trial) {
-                const std::unique_ptr<sim::WorldDynamics> model =
-                    DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
-                                                      spec_.agents);
-                return sim::run_dynamic_density_walk(
-                    topo_, cfg, *model, rng::derive_seed(spec_.seed, trial),
-                    exec);
+                return density_walk(rng::derive_seed(spec_.seed, trial));
               },
               progress.callback());
         }
@@ -271,9 +263,9 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
       }
 
       case Workload::kProperty: {
-        // estimate_property_frequency with the spec's trial fan-out and
-        // lazy knob: same property-assignment stream (tag 0xF00D), one
-        // derived seed per trial, bit-identical for any thread count.
+        // One estimate_property_frequency call per trial (the spec's
+        // seed for one trial, derived seeds for a fan-out).  Truth is
+        // the frequency as seen by one agent among the agents-1 others.
         const auto num_property = static_cast<std::uint32_t>(
             std::lround(spec_.property_fraction * spec_.agents));
         result.true_value = static_cast<double>(num_property) /
@@ -285,42 +277,23 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
               const std::uint64_t trial_seed =
                   spec_.trials == 1 ? spec_.seed
                                     : rng::derive_seed(spec_.seed, trial);
-              rng::Xoshiro256pp assign_gen(
-                  rng::derive_seed(trial_seed, 0xF00Du));
-              std::vector<bool> has_property(spec_.agents, false);
-              for (std::uint64_t idx : rng::sample_without_replacement(
-                       assign_gen, spec_.agents, num_property)) {
-                has_property[idx] = true;
-              }
-              const sim::PropertyResult raw = sim::run_property_walk(
-                  topo_, cfg, has_property, trial_seed, exec);
-              std::vector<double> freq;
-              freq.reserve(spec_.agents);
-              for (std::uint32_t i = 0; i < spec_.agents; ++i) {
-                const auto c = static_cast<double>(raw.total_counts[i]);
-                const auto cp = static_cast<double>(raw.property_counts[i]);
-                freq.push_back(c == 0.0 ? 0.0 : cp / c);
-              }
-              return freq;
+              return core::estimate_property_frequency(
+                         topo_, spec_.agents, num_property, spec_.rounds,
+                         trial_seed, spec_.lazy_probability, exec)
+                  .frequency_estimates;
             },
             progress.callback());
         break;
       }
 
       case Workload::kTrajectory: {
-        // run_trajectory plus the lazy knob: same observers, same seed
-        // tag, so the unperturbed scenario matches sim::run_trajectory
-        // exactly.
         result.checkpoints = spec_.checkpoint_rounds(spec_.rounds);
-        sim::CollisionObserver counts(spec_.agents);
-        sim::TrajectoryObserver trajectory(counts, spec_.tracked,
-                                           result.checkpoints);
-        sim::WalkConfig wcfg = cfg.walk_config();
-        wcfg.rounds = result.checkpoints.back();
-        RoundProgressObserver progress(hooks, wcfg.rounds);
-        sim::run_walk(topo_, wcfg, rng::derive_seed(spec_.seed, 0x7124u),
-                      exec, nullptr, counts, trajectory, progress);
-        result.series = trajectory.take_estimates();
+        RoundProgressObserver progress(hooks, result.checkpoints.back());
+        result.series =
+            sim::run_trajectory(topo_, spec_.agents, spec_.tracked,
+                                result.checkpoints, spec_.seed,
+                                spec_.lazy_probability, exec, progress)
+                .estimates;
         for (const auto& trace : result.series) {
           result.estimates.push_back(trace.back());
         }

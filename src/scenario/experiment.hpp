@@ -1,10 +1,15 @@
 // The imperative half of the runtime scenario API: Experiment validates
 // a ScenarioSpec, builds its substrate through the Registry, resolves
 // the round budget (explicit rounds, or Theorem-1 planning via
-// core::plan_rounds), and runs the requested workload through the
-// existing engine drivers — run_density_walk / trial_runner for density,
-// estimate_property_frequency for property, run_trajectory for anytime
-// profiles, and the generic BallDensityObserver for local density.
+// core::plan_rounds), and runs the requested workload through exactly
+// one driver each:
+//   - density: sim::run_density_walk, or sim::run_dynamic_density_walk
+//     when the spec names a dynamics model;
+//   - property: core::estimate_property_frequency;
+//   - trajectory: sim::run_trajectory;
+//   - local-density: sim::run_walk with the generic BallDensityObserver.
+// Trial fan-outs (density, property) pool one driver call per derived
+// seed through sim::pool_trial_estimates.
 //
 // The result is one uniform ScenarioResult for all four workloads:
 // pooled per-agent estimates, summary statistics, optional checkpointed

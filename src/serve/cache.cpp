@@ -265,10 +265,10 @@ CacheOutcome ResultCache::get_or_run(
         record.set("campaign", cache_name_);
         record.set("id", id);
         record.set("result", util::JsonValue::parse(payload));
-        const std::string line = record.dump(0);
-        journal_->append(record);
-        disk_index_[id] = DiskSlot{file_end_, line.size()};
-        file_end_ += line.size() + 1;
+        // append returns the line's bytes plus its newline.
+        const std::size_t written = journal_->append(record);
+        disk_index_[id] = DiskSlot{file_end_, written - 1};
+        file_end_ += written;
       }
       insert_memory_locked(id, payload);
     }

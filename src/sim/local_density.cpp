@@ -2,9 +2,6 @@
 
 #include <cstdlib>
 
-#include "rng/splitmix64.hpp"
-#include "sim/walk_engine.hpp"
-
 namespace antdense::sim {
 
 using graph::Torus2D;
@@ -59,47 +56,6 @@ std::vector<double> per_agent_local_density(
                       /*exclude_one_at_center=*/true));
   }
   return out;
-}
-
-LocalDensityObserver::LocalDensityObserver(
-    const graph::Torus2D& torus, std::uint32_t radius,
-    std::vector<std::uint32_t> checkpoints)
-    : torus_(&torus), radius_(radius), checkpoints_(std::move(checkpoints)) {
-  // Reuses l1_ball_size's radius preconditions (>= 1, no self-wrap).
-  l1_ball_size(torus, radius);
-  detail::validate_checkpoints(checkpoints_);
-  densities_.reserve(checkpoints_.size());
-}
-
-void LocalDensityObserver::after_round(
-    const RoundView& v, std::span<const graph::Torus2D::node_type> positions) {
-  if (next_checkpoint_ >= checkpoints_.size() ||
-      v.round != checkpoints_[next_checkpoint_]) {
-    return;
-  }
-  densities_.push_back(per_agent_local_density(*torus_, positions, radius_));
-  ++next_checkpoint_;
-}
-
-LocalDensityProfile run_local_density_profile(
-    const Torus2D& torus, std::uint32_t num_agents, std::uint32_t radius,
-    const std::vector<std::uint32_t>& checkpoints, std::uint64_t seed,
-    const std::vector<Torus2D::node_type>* initial_positions) {
-  ANTDENSE_CHECK(num_agents >= 2, "need at least two agents");
-  LocalDensityObserver obs(torus, radius, checkpoints);
-
-  WalkConfig cfg;
-  cfg.num_agents = num_agents;
-  cfg.rounds = checkpoints.back();
-  run_walk(torus, cfg, rng::derive_seed(seed, 0x10Du), SingleExec{},
-           initial_positions, obs);
-
-  LocalDensityProfile profile;
-  profile.checkpoints = obs.checkpoints();
-  profile.densities = obs.take_densities();
-  profile.global_density = static_cast<double>(num_agents - 1) /
-                           static_cast<double>(torus.num_nodes());
-  return profile;
 }
 
 }  // namespace antdense::sim

@@ -4,13 +4,13 @@
 // density an agent actually experiences early in its walk.  These
 // helpers compute the ground-truth local density inside an L1 ball so
 // the non-uniform-placement experiments can show what short-horizon
-// encounter rates really track.  Positions are passed as spans so the
-// WalkEngine's LocalDensityObserver can hand over its in-flight view
-// without copying; std::vector arguments convert implicitly.
+// encounter rates really track.  Positions are passed as spans, so an
+// observer's in-flight view needs no copy; std::vector arguments
+// convert implicitly.
 //
-// run_local_density_profile is the engine-backed driver: it walks a
-// population and records every agent's local density at checkpoints,
-// tracing how a clustered placement relaxes toward the global density.
+// These brute-force functions are the reference for the topology-generic
+// scenario::BallDensityObserver, which the local-density workload runs
+// on every family (on the torus the two agree bit for bit).
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "graph/torus2d.hpp"
-#include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
 namespace antdense::sim {
@@ -49,58 +48,5 @@ std::vector<double> per_agent_local_density(
     const graph::Torus2D& torus,
     std::span<const graph::Torus2D::node_type> positions,
     std::uint32_t radius);
-
-/// WalkEngine observer recording, at each checkpoint, every agent's
-/// ground-truth local density (other agents in an L1 ball) on the 2-D
-/// torus — showing what short-horizon encounter rates actually track
-/// under non-uniform placement.  Lives here rather than in
-/// walk_engine.hpp because it is Torus2D-specific; the engine itself
-/// stays topology-agnostic.
-class LocalDensityObserver {
- public:
-  LocalDensityObserver(const graph::Torus2D& torus, std::uint32_t radius,
-                       std::vector<std::uint32_t> checkpoints);
-
-  void after_round(const RoundView& v,
-                   std::span<const graph::Torus2D::node_type> positions);
-
-  const std::vector<std::uint32_t>& checkpoints() const {
-    return checkpoints_;
-  }
-  /// densities()[i][a] = agent a's local density at checkpoint i.
-  const std::vector<std::vector<double>>& densities() const {
-    return densities_;
-  }
-  std::vector<std::vector<double>> take_densities() {
-    return std::move(densities_);
-  }
-
- private:
-  const graph::Torus2D* torus_;
-  std::uint32_t radius_;
-  std::vector<std::uint32_t> checkpoints_;
-  std::size_t next_checkpoint_ = 0;
-  std::vector<std::vector<double>> densities_;
-};
-
-struct LocalDensityProfile {
-  /// checkpoints[i] = round number of the i-th snapshot (1-based).
-  std::vector<std::uint32_t> checkpoints;
-  /// densities[i][a] = agent a's local density of *others* at checkpoint i.
-  std::vector<std::vector<double>> densities;
-  double global_density = 0.0;  // (N-1)/A
-};
-
-/// Runs the walk engine with a LocalDensityObserver: `num_agents` agents
-/// walk to the last checkpoint, snapshotting every agent's L1-ball local
-/// density along the way.  `initial_positions`, when non-null, seeds a
-/// non-uniform placement (must hold num_agents nodes).  Checkpoints must
-/// be strictly increasing, 1-based.  Deterministic in `seed`.
-LocalDensityProfile run_local_density_profile(
-    const graph::Torus2D& torus, std::uint32_t num_agents,
-    std::uint32_t radius, const std::vector<std::uint32_t>& checkpoints,
-    std::uint64_t seed,
-    const std::vector<graph::Torus2D::node_type>* initial_positions =
-        nullptr);
 
 }  // namespace antdense::sim

@@ -28,12 +28,18 @@ struct TrajectoryResult {
 /// Runs the standard density walk, snapshotting the first
 /// `tracked_agents` agents' running estimates at each checkpoint.
 /// Checkpoints must be strictly increasing; the last one is the total
-/// round count.
-template <graph::Topology T>
+/// round count.  `lazy_probability` is §6.1's stay-put probability and
+/// `exec` the engine policy; `extra` observers ride after the trajectory
+/// observer in pack order (an extra that draws no randomness leaves the
+/// result bit-identical to the plain call).
+template <graph::Topology T, ExecPolicy Exec = SingleExec,
+          typename... Extra>
 TrajectoryResult run_trajectory(const T& topo, std::uint32_t num_agents,
                                 std::uint32_t tracked_agents,
                                 const std::vector<std::uint32_t>& checkpoints,
-                                std::uint64_t seed) {
+                                std::uint64_t seed,
+                                double lazy_probability = 0.0,
+                                const Exec& exec = {}, Extra&... extra) {
   ANTDENSE_CHECK(num_agents >= 2, "need at least two agents");
   CollisionObserver counts(num_agents);
   // Validates tracked_agents and the checkpoint sequence.
@@ -42,10 +48,11 @@ TrajectoryResult run_trajectory(const T& topo, std::uint32_t num_agents,
   WalkConfig cfg;
   cfg.num_agents = num_agents;
   cfg.rounds = checkpoints.back();
+  cfg.lazy_probability = lazy_probability;
   // Pack order matters: counts must update before trajectory reads them.
-  run_walk(topo, cfg, rng::derive_seed(seed, 0x7124u), SingleExec{},
+  run_walk(topo, cfg, rng::derive_seed(seed, 0x7124u), exec,
            static_cast<const std::vector<typename T::node_type>*>(nullptr),
-           counts, trajectory);
+           counts, trajectory, extra...);
 
   TrajectoryResult result;
   result.checkpoints = trajectory.checkpoints();

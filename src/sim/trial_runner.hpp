@@ -62,17 +62,13 @@ std::vector<double> pool_trial_estimates(
 template <graph::Topology T, ExecPolicy Exec = SingleExec>
 std::vector<double> collect_all_agent_estimates(
     const T& topo, const DensityConfig& cfg, std::uint64_t root_seed,
-    std::uint32_t trials, unsigned threads = 0,
-    const std::function<void(std::size_t)>& on_trial_done = {},
-    const Exec& exec = {}) {
+    std::uint32_t trials, unsigned threads = 0, const Exec& exec = {}) {
   return pool_trial_estimates(
-      trials, cfg.num_agents, threads,
-      [&](std::size_t trial) {
+      trials, cfg.num_agents, threads, [&](std::size_t trial) {
         return run_density_walk(topo, cfg,
                                 rng::derive_seed(root_seed, trial), exec)
             .estimates();
-      },
-      on_trial_done);
+      });
 }
 
 template <graph::Topology T>

@@ -12,56 +12,9 @@ unsigned default_thread_count() {
 void parallel_for(std::size_t num_tasks,
                   const std::function<void(std::size_t)>& fn,
                   unsigned num_threads) {
-  if (num_threads == 0) {
-    num_threads = default_thread_count();
-  }
-  if (num_tasks == 0) {
-    return;
-  }
-  num_threads =
-      std::min<std::size_t>(num_threads, num_tasks);
-  if (num_threads == 1) {
-    for (std::size_t i = 0; i < num_tasks; ++i) {
-      fn(i);
-    }
-    return;
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-
-  auto worker = [&]() {
-    while (true) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= num_tasks) {
-        return;
-      }
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(error_mutex);
-        if (!first_error) {
-          first_error = std::current_exception();
-        }
-        // Drain remaining work so all threads exit promptly.
-        next.store(num_tasks, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(num_threads);
-  for (unsigned w = 0; w < num_threads; ++w) {
-    threads.emplace_back(worker);
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
-  }
+  parallel_for_stoppable(
+      num_tasks, [&fn](std::size_t i, std::stop_token) { fn(i); },
+      num_threads);
 }
 
 void parallel_for_stoppable(

@@ -26,14 +26,15 @@ unsigned default_thread_count();
 /// Invokes fn(i) for every i in [0, num_tasks), distributing indices over
 /// `num_threads` workers.  fn must be safe to call concurrently for
 /// distinct indices.  The first exception thrown by any task is rethrown
-/// on the calling thread after all workers join.
+/// on the calling thread after all workers join.  This is
+/// parallel_for_stoppable with the stop token ignored.
 void parallel_for(std::size_t num_tasks,
                   const std::function<void(std::size_t)>& fn,
                   unsigned num_threads = 0);
 
 /// Cancellable work queue over a std::jthread pool — the campaign
-/// scheduler's substrate.  Same index hand-out as parallel_for, but fn
-/// also receives the pool's stop_token: after the first exception (or an
+/// scheduler's substrate (and parallel_for's).  fn also receives the
+/// pool's stop_token: after the first exception (or an
 /// external stop request) no further indices are handed out and
 /// long-running tasks can poll the token to bail early.  Tasks that
 /// already started still finish (a campaign journals each completed

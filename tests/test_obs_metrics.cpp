@@ -223,6 +223,28 @@ TEST(ObsRegistry, PrometheusFormatsLargeAndInfiniteValues) {
   EXPECT_NE(text.find("big_count 1\n"), std::string::npos);
 }
 
+TEST(ObsRegistry, JsonSnapshotSpellsNonFiniteSumsLikePrometheus) {
+  // JSON has no infinity or NaN literal: a non-finite histogram sum is
+  // written as the exposition format's string, and finite sums stay
+  // numbers.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  MetricsRegistry reg;
+  reg.histogram("up", {1.0}).observe(kInf);
+  reg.histogram("down", {1.0}).observe(-kInf);
+  Histogram& both = reg.histogram("both", {1.0});
+  both.observe(kInf);
+  both.observe(std::numeric_limits<double>::quiet_NaN());
+  reg.histogram("fine", {1.0}).observe(0.5);
+  std::string text;
+  ASSERT_NO_THROW(text = reg.to_json().dump(0));
+  const util::JsonValue doc = util::JsonValue::parse(text);
+  EXPECT_EQ(doc.find("up")->find("sum")->as_string(), "+Inf");
+  EXPECT_EQ(doc.find("down")->find("sum")->as_string(), "-Inf");
+  EXPECT_EQ(doc.find("both")->find("sum")->as_string(), "NaN");
+  EXPECT_EQ(doc.find("both")->find("count")->as_uint(), 2u);
+  EXPECT_EQ(doc.find("fine")->find("sum")->as_double(), 0.5);
+}
+
 TEST(ObsRegistry, FormatLabels) {
   EXPECT_EQ(format_labels({}), "");
   EXPECT_EQ(format_labels({{"a", "x"}, {"b", "y"}}),

@@ -83,5 +83,26 @@ TEST(PropertyFrequency, DeterministicInSeed) {
   EXPECT_EQ(a.frequency_estimates, b.frequency_estimates);
 }
 
+TEST(PropertyFrequency, ShardedIsThreadCountInvariant) {
+  // 40 agents in 8-agent shards: five shards per round, so four
+  // threads really interleave the observer hooks.
+  const Torus2D torus(16, 16);
+  const auto run = [&](unsigned threads) {
+    return estimate_property_frequency(
+        torus, 40, 10, 60, 21, /*lazy_probability=*/0.25,
+        sim::ShardExec{.threads = threads, .shard_size = 8});
+  };
+  const PropertyFrequencyResult one = run(1);
+  const PropertyFrequencyResult four = run(4);
+  EXPECT_EQ(one.density_estimates, four.density_estimates);
+  EXPECT_EQ(one.frequency_estimates, four.frequency_estimates);
+  EXPECT_NE(one.density_estimates,
+            estimate_property_frequency(
+                torus, 40, 10, 60, 21, /*lazy_probability=*/0.0,
+                sim::ShardExec{.threads = 1, .shard_size = 8})
+                .density_estimates)
+      << "the lazy knob must reach the walk";
+}
+
 }  // namespace
 }  // namespace antdense::core

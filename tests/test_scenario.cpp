@@ -2,7 +2,7 @@
 // errors), ScenarioSpec validation and JSON round-trip, Theorem-1 round
 // resolution through core::plan_rounds, Experiment results for all four
 // workloads, and the generic BallDensityObserver pinned against the
-// Torus2D-specific LocalDensityObserver in the same walk.
+// brute-force Torus2D local density on the same walk's positions.
 #include "scenario/experiment.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -645,27 +646,50 @@ TEST(Experiment, ResultJsonParsesAndCarriesTheSchema) {
 }
 
 // ---------------------------------------------------------------------
-// BallDensityObserver vs the Torus2D-specific LocalDensityObserver
+// BallDensityObserver vs the brute-force Torus2D local density
 // ---------------------------------------------------------------------
 
-TEST(BallDensity, MatchesTorus2DLocalDensityObserverExactly) {
-  // Same walk, both observers: the graph-distance ball on the 2-D torus
-  // is the wrap-aware L1 ball, so the generic observer must reproduce
-  // the specialized one bit-for-bit, up to the specialized
-  // implementation's validity limit (2 * radius < both sides).
+/// Copies the walk's positions at each checkpoint round (single engine,
+/// whole population per after_round).
+struct CheckpointPositions {
+  std::vector<std::uint32_t> checkpoints;
+  std::vector<std::vector<graph::Torus2D::node_type>> positions;
+
+  void after_round(const sim::RoundView& v,
+                   std::span<const graph::Torus2D::node_type> at) {
+    if (positions.size() < checkpoints.size() &&
+        v.round == checkpoints[positions.size()]) {
+      positions.emplace_back(at.begin(), at.end());
+    }
+  }
+};
+
+TEST(BallDensity, MatchesBruteForceTorus2DLocalDensityExactly) {
+  // Same walk: the graph-distance ball on the 2-D torus is the
+  // wrap-aware L1 ball, so the generic observer must reproduce the
+  // brute-force L1 count bit-for-bit at every checkpoint, up to the
+  // brute force's validity limit (2 * radius < both sides).
   const graph::Torus2D torus(11, 13);
   const graph::AnyTopology any(torus);
   for (const std::uint32_t radius : {1u, 2u, 5u}) {
     SCOPED_TRACE(radius);
     const std::vector<std::uint32_t> checkpoints = {1, 4, 9};
-    sim::LocalDensityObserver specialized(torus, radius, checkpoints);
+    CheckpointPositions snapshots;
+    snapshots.checkpoints = checkpoints;
     scenario::BallDensityObserver generic(any, radius, checkpoints, 35);
     sim::WalkConfig cfg;
     cfg.num_agents = 35;
     cfg.rounds = checkpoints.back();
     sim::run_walk(torus, cfg, 0xBA11u, sim::SingleExec{}, nullptr,
-                  specialized, generic);
-    EXPECT_EQ(specialized.densities(), generic.densities());
+                  snapshots, generic);
+    ASSERT_EQ(snapshots.positions.size(), checkpoints.size());
+    ASSERT_EQ(generic.densities().size(), checkpoints.size());
+    for (std::size_t i = 0; i < checkpoints.size(); ++i) {
+      EXPECT_EQ(generic.densities()[i],
+                sim::per_agent_local_density(torus, snapshots.positions[i],
+                                             radius))
+          << "checkpoint round " << checkpoints[i];
+    }
   }
 }
 

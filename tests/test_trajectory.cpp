@@ -74,5 +74,22 @@ TEST(Trajectory, DeterministicInSeed) {
   EXPECT_EQ(a.estimates, b.estimates);
 }
 
+TEST(Trajectory, ShardedIsThreadCountInvariant) {
+  // 40 agents in 8-agent shards: five shards per round, so four
+  // threads really interleave the observer hooks.
+  const Torus2D torus(16, 16);
+  const auto run = [&](unsigned threads) {
+    return run_trajectory(torus, 40, 6, {4, 16, 40}, 21, /*lazy=*/0.25,
+                          ShardExec{.threads = threads, .shard_size = 8});
+  };
+  const TrajectoryResult one = run(1);
+  EXPECT_EQ(one.estimates, run(4).estimates);
+  EXPECT_NE(one.estimates,
+            run_trajectory(torus, 40, 6, {4, 16, 40}, 21, /*lazy=*/0.0,
+                           ShardExec{.threads = 1, .shard_size = 8})
+                .estimates)
+      << "the lazy knob must reach the walk";
+}
+
 }  // namespace
 }  // namespace antdense::sim

@@ -264,7 +264,7 @@ TEST(VectorStatistics, MatchesSingleEngineOnAllNineFamilies) {
     stats::Accumulator vec;
     for (const double m :
          trial_means(collect_all_agent_estimates(fam.topo, cfg, kSeed,
-                                                 kTrials, 2, {}, VectorExec{}),
+                                                 kTrials, 2, VectorExec{}),
                      cfg.num_agents)) {
       vec.add(m);
     }

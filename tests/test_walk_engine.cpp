@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/any_topology.hpp"
 #include "graph/biased_torus2d.hpp"
 #include "graph/complete.hpp"
 #include "graph/explicit_topology.hpp"
@@ -26,9 +27,10 @@
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
+#include "rng/splitmix64.hpp"
+#include "scenario/ball_density.hpp"
 #include "sim/density_sim.hpp"
 #include "sim/legacy_reference.hpp"
-#include "sim/local_density.hpp"
 #include "sim/trajectory.hpp"
 #include "stats/accumulator.hpp"
 
@@ -404,17 +406,34 @@ TEST(WalkEngine, EveryEngineFiresHooksInOneOrder) {
   }
 }
 
+/// The local-density workload's walk: agents over AnyTopology(torus) on
+/// the scenario layer's stream tag, with BallDensityObserver recording
+/// every agent's L1-ball density at the checkpoints.
+std::vector<std::vector<double>> local_density_profile(
+    const Torus2D& torus, std::uint32_t num_agents, std::uint32_t radius,
+    const std::vector<std::uint32_t>& checkpoints, std::uint64_t seed,
+    const std::vector<std::uint64_t>* initial_positions = nullptr) {
+  const graph::AnyTopology any(torus);
+  scenario::BallDensityObserver balls(any, radius, checkpoints, num_agents);
+  WalkConfig cfg;
+  cfg.num_agents = num_agents;
+  cfg.rounds = checkpoints.back();
+  run_walk(any, cfg, rng::derive_seed(seed, 0x10Du), SingleExec{},
+           initial_positions, balls);
+  return balls.take_densities();
+}
+
 TEST(LocalDensityProfile, ClusteredStartRelaxesTowardGlobalDensity) {
   const Torus2D torus(64, 64);
   constexpr std::uint32_t kAgents = 64;
-  std::vector<Torus2D::node_type> clustered;
+  std::vector<std::uint64_t> clustered;
   for (std::uint32_t i = 0; i < kAgents; ++i) {
     clustered.push_back(Torus2D::pack(i % 8, i / 8));
   }
-  const LocalDensityProfile profile = run_local_density_profile(
+  const std::vector<std::vector<double>> densities = local_density_profile(
       torus, kAgents, /*radius=*/4, {1, 2048}, 77, &clustered);
-  ASSERT_EQ(profile.densities.size(), 2u);
-  ASSERT_EQ(profile.densities[0].size(), kAgents);
+  ASSERT_EQ(densities.size(), 2u);
+  ASSERT_EQ(densities[0].size(), kAgents);
   auto mean = [](const std::vector<double>& v) {
     double s = 0.0;
     for (double x : v) {
@@ -422,22 +441,21 @@ TEST(LocalDensityProfile, ClusteredStartRelaxesTowardGlobalDensity) {
     }
     return s / static_cast<double>(v.size());
   };
-  const double early = mean(profile.densities[0]);
-  const double late = mean(profile.densities[1]);
-  EXPECT_DOUBLE_EQ(profile.global_density, 63.0 / 4096.0);
+  const double early = mean(densities[0]);
+  const double late = mean(densities[1]);
+  const double global_density = static_cast<double>(kAgents - 1) /
+                                static_cast<double>(torus.num_nodes());
+  EXPECT_DOUBLE_EQ(global_density, 63.0 / 4096.0);
   // Packed 8x8 start: experienced local density starts far above the
   // global density and relaxes most of the way back down.
-  EXPECT_GT(early, 10.0 * profile.global_density);
+  EXPECT_GT(early, 10.0 * global_density);
   EXPECT_LT(late, early / 3.0);
 }
 
 TEST(LocalDensityProfile, DeterministicInSeed) {
   const Torus2D torus(32, 32);
-  const LocalDensityProfile a =
-      run_local_density_profile(torus, 20, 3, {4, 16}, 5);
-  const LocalDensityProfile b =
-      run_local_density_profile(torus, 20, 3, {4, 16}, 5);
-  EXPECT_EQ(a.densities, b.densities);
+  EXPECT_EQ(local_density_profile(torus, 20, 3, {4, 16}, 5),
+            local_density_profile(torus, 20, 3, {4, 16}, 5));
 }
 
 }  // namespace
