@@ -74,6 +74,19 @@ void print_usage(std::ostream& os) {
      << "  --list-workloads / --help\n";
 }
 
+/// One "name<TAB>grammar" line per registered family (the --list-* flags).
+template <class Registry>
+void print_families(const Registry& reg) {
+  for (const std::string& name : reg.family_names()) {
+    const std::string& grammar = reg.grammar(name);
+    std::cout << name;
+    if (!grammar.empty()) {
+      std::cout << "\t" << grammar;
+    }
+    std::cout << "\n";
+  }
+}
+
 void print_report(const scenario::ScenarioResult& result) {
   std::cout << "scenario: " << result.spec.topology << " / "
             << scenario::workload_name(result.spec.workload) << "\n";
@@ -116,28 +129,11 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (args.get_bool("list-topologies", false)) {
-      const scenario::Registry& reg = scenario::Registry::built_in();
-      for (const std::string& name : reg.family_names()) {
-        const std::string& grammar = reg.grammar(name);
-        std::cout << name;
-        if (!grammar.empty()) {
-          std::cout << "\t" << grammar;
-        }
-        std::cout << "\n";
-      }
+      print_families(scenario::Registry::built_in());
       return 0;
     }
     if (args.get_bool("list-dynamics", false)) {
-      const scenario::DynamicsRegistry& reg =
-          scenario::DynamicsRegistry::built_in();
-      for (const std::string& name : reg.family_names()) {
-        const std::string& grammar = reg.grammar(name);
-        std::cout << name;
-        if (!grammar.empty()) {
-          std::cout << "\t" << grammar;
-        }
-        std::cout << "\n";
-      }
+      print_families(scenario::DynamicsRegistry::built_in());
       return 0;
     }
     if (args.get_bool("list-workloads", false)) {

@@ -178,69 +178,4 @@ const DynamicsRegistry& DynamicsRegistry::built_in() {
   return reg;
 }
 
-void DynamicsRegistry::register_family(const std::string& name,
-                                       Family family) {
-  ANTDENSE_CHECK(!name.empty() && name.find(':') == std::string::npos,
-                 "model name must be non-empty and colon-free");
-  ANTDENSE_CHECK(family.make != nullptr && family.canonical != nullptr,
-                 "model family needs both make and canonical");
-  families_[name] = std::move(family);
-}
-
-bool DynamicsRegistry::has_family(const std::string& name) const {
-  return families_.count(name) > 0;
-}
-
-const std::string& DynamicsRegistry::grammar(const std::string& name) const {
-  const auto it = families_.find(name);
-  ANTDENSE_CHECK(it != families_.end(),
-                 "unknown dynamics model '" + name + "'");
-  return it->second.grammar;
-}
-
-std::vector<std::string> DynamicsRegistry::family_names() const {
-  std::vector<std::string> out;
-  out.reserve(families_.size());
-  for (const auto& [name, family] : families_) {
-    out.push_back(name);
-  }
-  return out;
-}
-
-const DynamicsRegistry::Family& DynamicsRegistry::family_for(
-    const std::string& spec, std::string* params) const {
-  const std::size_t colon = spec.find(':');
-  ANTDENSE_CHECK(colon != std::string::npos && colon > 0,
-                 "dynamics spec '" + spec +
-                     "' must look like model:params "
-                     "(e.g. churn:p_edge=0.001,p_fail=0.0005)");
-  const std::string model = spec.substr(0, colon);
-  const auto it = families_.find(model);
-  if (it == families_.end()) {
-    std::string known;
-    for (const auto& [name, f] : families_) {
-      known += (known.empty() ? "" : ", ") + name;
-    }
-    throw std::invalid_argument(
-        "unknown dynamics model '" + model + "' (known: " +
-        known + ")");
-  }
-  *params = spec.substr(colon + 1);
-  return it->second;
-}
-
-std::unique_ptr<sim::WorldDynamics> DynamicsRegistry::make(
-    const std::string& spec, const graph::AnyTopology& topo,
-    std::uint32_t agents) const {
-  std::string params;
-  const Family& family = family_for(spec, &params);
-  return family.make(params, topo, agents);
-}
-
-std::string DynamicsRegistry::canonical(const std::string& spec) const {
-  std::string params;
-  const Family& family = family_for(spec, &params);
-  return family.canonical(params);
-}
-
 }  // namespace antdense::scenario

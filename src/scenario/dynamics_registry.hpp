@@ -22,62 +22,28 @@
 // knows — hence make() takes both.
 #pragma once
 
-#include <functional>
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "graph/any_topology.hpp"
+#include "scenario/spec_registry.hpp"
 #include "sim/dynamics.hpp"
 
 namespace antdense::scenario {
 
-class DynamicsRegistry {
+/// The model make(spec, topo, agents) returns must not outlive `topo`.
+class DynamicsRegistry
+    : public SpecRegistry<std::unique_ptr<sim::WorldDynamics>(
+          const graph::AnyTopology& topo, std::uint32_t agents)> {
  public:
-  struct Family {
-    /// Builds the model from the text after "model:", bound to the
-    /// scenario's substrate and agent-slot count.  The returned model
-    /// must not outlive `topo`.
-    std::function<std::unique_ptr<sim::WorldDynamics>(
-        const std::string& params, const graph::AnyTopology& topo,
-        std::uint32_t agents)>
-        make;
-    /// Parses the params and re-emits the canonical "model:..." spec
-    /// with every default made explicit.
-    std::function<std::string(const std::string& params)> canonical;
-    /// Grammar line plus an example for `antdense_run --list-dynamics`.
-    std::string grammar;
-  };
+  DynamicsRegistry()
+      : SpecRegistry({.spec = "dynamics spec",
+                      .kind = "dynamics model",
+                      .part = "model",
+                      .example = "churn:p_edge=0.001,p_fail=0.0005"}) {}
 
   /// The registry holding the built-in models (churn, drift, fade).
   static const DynamicsRegistry& built_in();
-
-  /// Registers (or replaces) a model family under `name`.
-  void register_family(const std::string& name, Family family);
-
-  bool has_family(const std::string& name) const;
-  std::vector<std::string> family_names() const;
-  /// The registered grammar line for `name` (empty when the family did
-  /// not provide one); throws std::invalid_argument on unknown names.
-  const std::string& grammar(const std::string& name) const;
-
-  /// Parses "model:params" and builds the model against `topo` /
-  /// `agents`.  Throws std::invalid_argument on an unknown model or
-  /// malformed params.
-  std::unique_ptr<sim::WorldDynamics> make(const std::string& spec,
-                                           const graph::AnyTopology& topo,
-                                           std::uint32_t agents) const;
-
-  /// Parses and re-serializes the spec into its canonical spelling
-  /// (idempotent; same error behavior as make).
-  std::string canonical(const std::string& spec) const;
-
- private:
-  const Family& family_for(const std::string& spec,
-                           std::string* params) const;
-
-  std::map<std::string, Family> families_;
 };
 
 }  // namespace antdense::scenario

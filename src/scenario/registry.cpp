@@ -261,64 +261,4 @@ const Registry& Registry::built_in() {
   return reg;
 }
 
-void Registry::register_family(const std::string& name, Family family) {
-  ANTDENSE_CHECK(!name.empty() && name.find(':') == std::string::npos,
-                 "family name must be non-empty and colon-free");
-  ANTDENSE_CHECK(family.make != nullptr && family.canonical != nullptr,
-                 "family needs both make and canonical");
-  families_[name] = std::move(family);
-}
-
-bool Registry::has_family(const std::string& name) const {
-  return families_.count(name) > 0;
-}
-
-const std::string& Registry::grammar(const std::string& name) const {
-  const auto it = families_.find(name);
-  ANTDENSE_CHECK(it != families_.end(),
-                 "unknown topology family '" + name + "'");
-  return it->second.grammar;
-}
-
-std::vector<std::string> Registry::family_names() const {
-  std::vector<std::string> out;
-  out.reserve(families_.size());
-  for (const auto& [name, family] : families_) {
-    out.push_back(name);
-  }
-  return out;
-}
-
-const Registry::Family& Registry::family_for(const std::string& spec,
-                                             std::string* params) const {
-  const std::size_t colon = spec.find(':');
-  ANTDENSE_CHECK(colon != std::string::npos && colon > 0,
-                 "topology spec '" + spec +
-                     "' must look like family:params (e.g. torus2d:64x64)");
-  const std::string family = spec.substr(0, colon);
-  const auto it = families_.find(family);
-  if (it == families_.end()) {
-    std::string known;
-    for (const auto& [name, f] : families_) {
-      known += (known.empty() ? "" : ", ") + name;
-    }
-    throw std::invalid_argument("unknown topology family '" + family +
-                                "' (known: " + known + ")");
-  }
-  *params = spec.substr(colon + 1);
-  return it->second;
-}
-
-graph::AnyTopology Registry::make(const std::string& spec) const {
-  std::string params;
-  const Family& family = family_for(spec, &params);
-  return family.make(params);
-}
-
-std::string Registry::canonical(const std::string& spec) const {
-  std::string params;
-  const Family& family = family_for(spec, &params);
-  return family.canonical(params);
-}
-
 }  // namespace antdense::scenario

@@ -24,54 +24,21 @@
 // family and the offending key=value.
 #pragma once
 
-#include <functional>
-#include <map>
-#include <string>
-#include <vector>
-
 #include "graph/any_topology.hpp"
+#include "scenario/spec_registry.hpp"
 
 namespace antdense::scenario {
 
-class Registry {
+class Registry : public SpecRegistry<graph::AnyTopology()> {
  public:
-  struct Family {
-    /// Builds the topology from the text after "family:".
-    std::function<graph::AnyTopology(const std::string& params)> make;
-    /// Parses the params and re-emits the canonical "family:..." spec.
-    std::function<std::string(const std::string& params)> canonical;
-    /// Human-readable canonical spec grammar plus an example, e.g.
-    /// "torus2d:WIDTHxHEIGHT (e.g. torus2d:64x64)" — what
-    /// `antdense_run --list-topologies` prints so sweep authors can
-    /// discover valid campaign axis values.  Optional.
-    std::string grammar;
-  };
+  Registry()
+      : SpecRegistry({.spec = "topology spec",
+                      .kind = "topology family",
+                      .part = "family",
+                      .example = "torus2d:64x64"}) {}
 
   /// The registry holding the nine built-in families.
   static const Registry& built_in();
-
-  /// Registers (or replaces) a family under `name`.
-  void register_family(const std::string& name, Family family);
-
-  bool has_family(const std::string& name) const;
-  std::vector<std::string> family_names() const;
-  /// The registered grammar line for `name` (empty when the family did
-  /// not provide one); throws std::invalid_argument on unknown names.
-  const std::string& grammar(const std::string& name) const;
-
-  /// Parses "family:params" and builds the topology.  Throws
-  /// std::invalid_argument on an unknown family or malformed params.
-  graph::AnyTopology make(const std::string& spec) const;
-
-  /// Parses and re-serializes the spec into its canonical spelling
-  /// (idempotent; same error behavior as make).
-  std::string canonical(const std::string& spec) const;
-
- private:
-  const Family& family_for(const std::string& spec,
-                           std::string* params) const;
-
-  std::map<std::string, Family> families_;
 };
 
 }  // namespace antdense::scenario

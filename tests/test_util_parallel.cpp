@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace antdense::util {
@@ -96,21 +98,31 @@ TEST(ParallelForStoppable, ResultIndependentOfThreadCount) {
 }
 
 TEST(ParallelForStoppable, ExceptionStopsHandingOutWork) {
+  // Every other task holds its worker until the stop the throwing task
+  // requests, so no worker can drain the queue while the exception
+  // unwinds, however slowly.  If stop never comes, every task returns at
+  // the shared deadline and all 1000 run, failing the check below.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
   std::atomic<int> started{0};
   EXPECT_THROW(
       parallel_for_stoppable(
           1000,
-          [&](std::size_t i, std::stop_token) {
+          [&](std::size_t i, std::stop_token token) {
             ++started;
             if (i == 0) {
               throw std::runtime_error("boom");
             }
+            while (!token.stop_requested() &&
+                   std::chrono::steady_clock::now() < deadline) {
+              std::this_thread::yield();
+            }
           },
           2),
       std::runtime_error);
-  // The failing task plus at most the tasks already claimed by other
-  // workers run; the queue must not drain all 1000.
-  EXPECT_LT(started.load(), 1000);
+  // Only the failing task and the one the other worker claimed run; the
+  // queue must not drain all 1000.
+  EXPECT_LE(started.load(), 2);
 }
 
 TEST(ParallelForStoppable, TokenObservableInsideTasks) {
