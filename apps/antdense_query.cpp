@@ -10,7 +10,8 @@
 // `run` writes the scenario result document.  By default the daemon's
 // per-request fields (cache_hit, elapsed_ns) are merged in; --canonical
 // writes the cached canonical bytes untouched instead, which is what
-// the CI smoke job byte-compares across cold/warm/restarted requests.
+// the tier-1 `app_serve` check (tests/app_checks.py) byte-compares
+// across cold/warm/restarted requests.
 #include <exception>
 #include <fstream>
 #include <iostream>

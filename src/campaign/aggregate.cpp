@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "util/check.hpp"
+#include "util/table.hpp"
 
 namespace antdense::campaign {
 
@@ -72,21 +73,6 @@ double metric(const util::JsonValue& record, const std::string& path) {
   ANTDENSE_CHECK(value != nullptr && value->is_number(),
                  "aggregate: record is missing metric '" + path + "'");
   return value->as_double();
-}
-
-std::string csv_field(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) {
-    return field;
-  }
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') {
-      out += '"';
-    }
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 std::string csv_number(double v) { return util::JsonValue(v).dump(0); }
@@ -157,7 +143,7 @@ Aggregate aggregate(const std::vector<util::JsonValue>& records,
 std::string Aggregate::to_csv() const {
   std::string out;
   for (const std::string& key : group_by) {
-    out += csv_field(key);
+    out += util::csv_escape(key);
     out += ',';
   }
   out +=
@@ -165,7 +151,7 @@ std::string Aggregate::to_csv() const {
       "min_within_eps,envelope_eps,envelope_delta,envelope_met\n";
   for (const AggregateGroup& g : groups) {
     for (const std::string& value : g.key) {
-      out += csv_field(value);
+      out += util::csv_escape(value);
       out += ',';
     }
     out += std::to_string(g.experiments);

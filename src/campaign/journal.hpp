@@ -10,7 +10,7 @@
 // Records deliberately exclude wall-clock time and thread counts, so a
 // campaign's journal is bit-identical (modulo record order) for any
 // worker count and any run/resume split — the property the acceptance
-// tests and the campaign-smoke CI job pin.
+// tests and the tier-1 `app_campaign` check (tests/app_checks.py) pin.
 //
 // Record shape:
 //

@@ -40,7 +40,8 @@ struct RunOptions {
   unsigned inner_threads = 1;
   /// Cap on experiments *executed* this invocation (0 = no cap).  The
   /// journal keeps what ran, so a capped run is exactly an interrupted
-  /// one — the CI smoke job resumes from it deterministically.
+  /// one — the tier-1 `app_campaign` check (tests/app_checks.py)
+  /// resumes from it deterministically.
   std::size_t max_experiments = 0;
   /// Called after each experiment's record is journaled, with how many
   /// of this invocation's experiments are done.  Serialized; may print.

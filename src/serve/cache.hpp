@@ -64,7 +64,7 @@ struct CacheStats {
   std::uint64_t in_flight = 0;      // executions running right now
   std::uint64_t warm_loaded = 0;    // ids indexed from the journal at start
   /// Disk-tier journal size in bytes.  The journal only grows (no
-  /// disk-tier eviction yet — ROADMAP item 3), so this is the number
+  /// disk-tier eviction yet — ROADMAP item 6), so this is the number
   /// to watch on a long-lived daemon.
   std::uint64_t journal_bytes = 0;
 

@@ -1,8 +1,8 @@
 // Client side of the serve protocol: a blocking, single-connection
 // convenience wrapper used by antdense_query, the serve tests, and the
-// CI smoke job.  One Client = one framed connection; requests are
-// strictly sequential (send one frame, read frames until the matching
-// non-progress response).
+// tier-1 `app_serve` check (tests/app_checks.py).  One Client = one
+// framed connection; requests are strictly sequential (send one frame,
+// read frames until the matching non-progress response).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,14 @@
 #include "sim/collision_counter.hpp"
 
+#include <atomic>
 #include <bit>
+#include <thread>
 
 namespace antdense::sim {
+
+static_assert(alignof(std::uint32_t) >=
+                  std::atomic_ref<std::uint32_t>::required_alignment,
+              "add_concurrent takes atomic_refs to plain slot fields");
 
 CollisionCounter::CollisionCounter(std::size_t max_occupancy)
     : max_occupancy_(max_occupancy) {
@@ -14,9 +20,9 @@ CollisionCounter::CollisionCounter(std::size_t max_occupancy)
 
 void CollisionCounter::begin_round() {
   ++epoch_;
-  if (epoch_ == 0) {
-    // Epoch counter wrapped (after 2^32 rounds): hard-reset tags so stale
-    // slots cannot alias the new epoch 1.
+  if (epoch_ == kBusyBit) {
+    // Epoch counter wrapped (after 2^31 rounds, below add_concurrent's
+    // busy bit): hard-reset tags so stale slots cannot alias epoch 1.
     for (Slot& s : slots_) {
       s.epoch = 0;
     }
@@ -43,6 +49,46 @@ std::uint32_t CollisionCounter::add(std::uint64_t key) {
       return ++s.count;
     }
     i = (i + 1) & mask_;
+  }
+}
+
+void CollisionCounter::add_concurrent(std::uint64_t key) {
+  ANTDENSE_CHECK(epoch_ != 0,
+                 "begin_round() must be called before add_concurrent()");
+  const std::uint32_t epoch = epoch_;
+  std::uint64_t i = mix(key) & mask_;
+  while (true) {
+    Slot& s = slots_[i];
+    std::atomic_ref<std::uint32_t> state(s.epoch);
+    std::uint32_t seen = state.load(std::memory_order_acquire);
+    if (seen == epoch) {
+      // Claimed this round; the acquire above makes the claimer's key
+      // write visible.
+      if (s.key == key) {
+        std::atomic_ref<std::uint32_t>(s.count).fetch_add(
+            1, std::memory_order_relaxed);
+        return;
+      }
+      i = (i + 1) & mask_;
+      continue;
+    }
+    if (seen == (epoch | kBusyBit)) {
+      // Another thread is mid-claim (three stores away) — but it may be
+      // descheduled on an oversubscribed host, so yield rather than
+      // burn the rest of a timeslice spinning.
+      std::this_thread::yield();
+      continue;
+    }
+    // Stale slot: claim it.  A failed CAS (someone else claimed or is
+    // claiming it) re-examines the same slot.
+    if (state.compare_exchange_weak(seen, epoch | kBusyBit,
+                                    std::memory_order_acquire,
+                                    std::memory_order_relaxed)) {
+      s.key = key;
+      s.count = 1;
+      state.store(epoch, std::memory_order_release);
+      return;
+    }
   }
 }
 

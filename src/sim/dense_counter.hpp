@@ -10,13 +10,14 @@
 // and begin_round stays O(1) like the hash counter.  add_concurrent
 // updates the same slot atomically (fetch_add on a current slot, a CAS
 // to claim a stale one), so shards can count one round at once; counts
-// are pure sums, exact for any interleaving.  Counts are exactly
-// CollisionCounter's for any key sequence (tests/test_vector_walk.cpp
-// and tests/test_sharded_walk.cpp pin it), so which counter a walk used
-// is unobservable in its results — the vector and sharded engines pick
-// per-topology by node count (use_dense_counter) and fall back to a
-// hash table for huge implicit substrates where O(num_nodes) memory is
-// the wrong deal.
+// are pure sums, exact for any interleaving.  The verbs are
+// CollisionCounter's — begin_round, add, add_concurrent, occupancy —
+// and so are the counts, for any key sequence (tests/test_vector_walk.cpp
+// pins it), so which counter a walk used is unobservable in its
+// results: the vector and sharded engines pick per-topology by node
+// count (use_dense_counter) and fall back to the hash CollisionCounter
+// for huge implicit substrates where O(num_nodes) memory is the wrong
+// deal.
 //
 // Phase discipline (the engines' barriers enforce it): begin_round and
 // add run alone; add_concurrent from any number of threads at once;

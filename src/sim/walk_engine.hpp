@@ -28,10 +28,12 @@
 //     tests/test_walk_engine.cpp pins it against the frozen pre-engine
 //     loops in sim/legacy_reference.hpp.
 //   - ShardExec (engine=sharded): contiguous ShardPlan ranges, each on
-//     its own rng::derive_stream(stream_seed, shard), counted into the
-//     direct-addressed DenseCollisionCounter through its atomic
-//     add_concurrent when use_dense_counter allows it (the lock-free
-//     hash ConcurrentCollisionCounter otherwise; counts are identical).
+//     its own rng::derive_stream(stream_seed, shard), counted through
+//     add_concurrent into the direct-addressed DenseCollisionCounter
+//     when use_dense_counter allows it and the hash CollisionCounter
+//     otherwise (counts are identical; both counters speak begin_round /
+//     add / add_concurrent / occupancy, and a single-threaded run takes
+//     the plain add).
 //     Steps 2-4 run as one parallel phase over the shards and step 5 as
 //     a second, so a round crosses two WorkerPool barriers, which spin
 //     briefly before they park.  Randomness is keyed by shard, never by
@@ -73,7 +75,6 @@
 #include "rng/xoshiro256pp.hpp"
 #include "rng/xoshiro_wide.hpp"
 #include "sim/collision_counter.hpp"
-#include "sim/concurrent_counter.hpp"
 #include "sim/dense_counter.hpp"
 #include "sim/dynamics.hpp"
 #include "util/check.hpp"
@@ -136,12 +137,8 @@ struct ShardExec {
   std::uint32_t shard_size = ShardPlan::kDefaultShardSize;
 };
 
-/// engine=vector.  Results are independent of this knob.
-struct VectorExec {
-  /// Forces the hash CollisionCounter even when the dense counter would
-  /// apply; the dense/hash equality tests run both sides through this.
-  bool force_hash_counter = false;
-};
+/// engine=vector: one wide stream, dense counter within its cap.
+struct VectorExec {};
 
 /// The three execution policies run_walk accepts.
 template <typename E>
@@ -291,17 +288,10 @@ class PropertyObserver {
   void fill(const View& v) {
     ANTDENSE_ASSERT(v.num_agents == has_property_.size(),
                     "observer sized for a different agent count");
-    if (v.concurrent_fill) {
-      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-        if (has_property_[i]) {
-          prop_counter_.add(v.keys[i]);
-        }
-      }
-    } else {
-      for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-        if (has_property_[i]) {
-          prop_counter_.add_serial(v.keys[i]);
-        }
+    for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+      if (has_property_[i]) {
+        v.concurrent_fill ? prop_counter_.add_concurrent(v.keys[i])
+                          : void(prop_counter_.add(v.keys[i]));
       }
     }
   }
@@ -332,7 +322,7 @@ class PropertyObserver {
   std::vector<bool> has_property_;
   std::vector<std::uint64_t> total_counts_;
   std::vector<std::uint64_t> property_counts_;
-  ConcurrentCollisionCounter prop_counter_;
+  CollisionCounter prop_counter_;
 };
 
 /// Snapshots the running estimate c/r of the first `tracked_agents`
@@ -469,22 +459,16 @@ void step_lane(const T& topo, std::span<typename T::node_type> pos,
 }
 
 /// Counts agents [b, e) at their keys, skipping those `mask` (null =
-/// count all) marks dead.  The counters take their atomic path only
-/// when shards count at once, and their plain-speed path otherwise; the
-/// dense counter gets a prefetch lookahead (random keys defeat the
-/// hardware prefetcher).
+/// count all) marks dead.  The counter takes its atomic add_concurrent
+/// only when shards count at once, and its plain-speed add otherwise; a
+/// counter with a prefetch hint (the dense one) gets a lookahead, since
+/// random keys defeat the hardware prefetcher.
 template <typename Counter>
 void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
                 const std::uint8_t* mask, std::uint32_t b, std::uint32_t e,
                 bool concurrent) {
   const auto add = [&](std::uint64_t key) {
-    if constexpr (std::is_same_v<Counter, ConcurrentCollisionCounter>) {
-      concurrent ? counter.add(key) : counter.add_serial(key);
-    } else if constexpr (std::is_same_v<Counter, DenseCollisionCounter>) {
-      concurrent ? counter.add_concurrent(key) : void(counter.add(key));
-    } else {
-      counter.add(key);
-    }
+    concurrent ? counter.add_concurrent(key) : void(counter.add(key));
   };
   if (mask != nullptr) {
     for (std::uint32_t i = b; i < e; ++i) {
@@ -492,7 +476,7 @@ void count_lane(Counter& counter, std::span<const std::uint64_t> keys,
         add(keys[i]);
       }
     }
-  } else if constexpr (std::is_same_v<Counter, DenseCollisionCounter>) {
+  } else if constexpr (requires { counter.prefetch(keys[b]); }) {
     constexpr std::uint32_t kAhead = 8;
     for (std::uint32_t i = b; i < e; ++i) {
       if (i + kAhead < e) {
@@ -732,7 +716,7 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
 /// policy's streams directly — callers that expose a user-facing seed
 /// derive their own stream tag first (see run_density_walk).
 /// Deterministic in `stream_seed` (and ShardExec::shard_size); never in
-/// ShardExec::threads or VectorExec.
+/// ShardExec::threads.
 template <graph::Topology T, ExecPolicy Exec, class... Obs>
 void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
               const Exec& exec,
@@ -743,20 +727,14 @@ void run_walk(const T& topo, const WalkConfig& cfg, std::uint64_t stream_seed,
                      initial_positions->size() == cfg.num_agents,
                  "initial positions must match agent count");
   if constexpr (!std::is_same_v<Exec, SingleExec>) {
-    bool dense = use_dense_counter(topo.num_nodes());
-    if constexpr (std::is_same_v<Exec, VectorExec>) {
-      dense = dense && !exec.force_hash_counter;
-    }
-    if (dense) {
+    if (use_dense_counter(topo.num_nodes())) {
       DenseCollisionCounter counter(topo.num_nodes());
       detail::run_rounds(topo, cfg, stream_seed, exec, counter,
                          initial_positions, observers...);
       return;
     }
   }
-  std::conditional_t<std::is_same_v<Exec, ShardExec>,
-                     ConcurrentCollisionCounter, CollisionCounter>
-      counter(cfg.num_agents);
+  CollisionCounter counter(cfg.num_agents);
   detail::run_rounds(topo, cfg, stream_seed, exec, counter, initial_positions,
                      observers...);
 }

@@ -59,8 +59,9 @@ class Socket {
 };
 
 /// A listening socket bound to 127.0.0.1 (port 0 = OS-assigned; the
-/// actual port is readable afterwards, which is how tests and the CI
-/// smoke job avoid port collisions).
+/// actual port is readable afterwards, which is how tests and the
+/// tier-1 `app_serve` check in tests/app_checks.py avoid port
+/// collisions).
 class ListenSocket {
  public:
   explicit ListenSocket(std::uint16_t port);

@@ -67,6 +67,8 @@ std::string pad_to(const std::string& s, std::size_t width) {
   return out;
 }
 
+}  // namespace
+
 std::string csv_escape(const std::string& s) {
   const bool needs_quotes =
       s.find_first_of(",\"\n") != std::string::npos;
@@ -84,8 +86,6 @@ std::string csv_escape(const std::string& s) {
   out.push_back('"');
   return out;
 }
-
-}  // namespace
 
 void Table::print_markdown(std::ostream& os) const {
   std::vector<std::size_t> widths(headers_.size());

@@ -58,6 +58,10 @@ class Table {
   std::vector<std::vector<std::string>> rows_;
 };
 
+/// One CSV field: quoted, with inner quotes doubled, when it holds a
+/// comma, quote or newline; verbatim otherwise.
+std::string csv_escape(const std::string& s);
+
 /// Prints a bench section header ("## title") followed by a blank line.
 void print_section(std::ostream& os, const std::string& title);
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "util/worker_pool.hpp"
+
 namespace antdense::sim {
 namespace {
 
@@ -87,6 +92,65 @@ TEST(CollisionCounter, CapacityIsPowerOfTwoTimesFour) {
   CollisionCounter c(10);
   EXPECT_GE(c.capacity(), 40u);
   EXPECT_EQ(c.capacity() & (c.capacity() - 1), 0u);
+}
+
+// --- add_concurrent ---------------------------------------------------
+
+TEST(CollisionCounter, SerialAndConcurrentAddsAgree) {
+  // Same heavily colliding keys through serial add, single-threaded
+  // add_concurrent, and add_concurrent from a pool, over two rounds so
+  // the second round's stale-slot claims race too: occupancy must be
+  // exact in all three.  Spread keys share a small table, so claims
+  // also race along probe chains.
+  constexpr std::uint64_t kKeys = 37;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> expect(kKeys, 0);
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const std::uint64_t k = (i * 7) % kKeys;
+    keys.push_back(k * 0x9E3779B97F4A7C15ULL);
+    ++expect[k];
+  }
+  CollisionCounter serial(kKeys);
+  CollisionCounter atomic_1t(kKeys);
+  CollisionCounter parallel(kKeys);
+  util::WorkerPool pool(4);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    serial.begin_round();
+    atomic_1t.begin_round();
+    parallel.begin_round();
+    for (std::uint64_t k : keys) {
+      serial.add(k);
+      atomic_1t.add_concurrent(k);
+    }
+    pool.run(keys.size(),
+             [&](std::size_t i) { parallel.add_concurrent(keys[i]); });
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+      const std::uint64_t key = k * 0x9E3779B97F4A7C15ULL;
+      EXPECT_EQ(serial.occupancy(key), expect[k]) << k;
+      EXPECT_EQ(atomic_1t.occupancy(key), expect[k]) << k;
+      EXPECT_EQ(parallel.occupancy(key), expect[k]) << k;
+    }
+    EXPECT_EQ(parallel.occupancy(kKeys * 0x9E3779B97F4A7C15ULL), 0u);
+  }
+}
+
+TEST(CollisionCounter, ConcurrentAddBeforeBeginRoundThrows) {
+  CollisionCounter c(4);
+  EXPECT_THROW(c.add_concurrent(1), std::invalid_argument);
+}
+
+TEST(CollisionCounter, EpochInvalidatesConcurrentRound) {
+  CollisionCounter c(8);
+  c.begin_round();
+  c.add_concurrent(5);
+  c.add_concurrent(5);
+  EXPECT_EQ(c.occupancy(5), 2u);
+  c.begin_round();
+  EXPECT_EQ(c.occupancy(5), 0u);
+  c.add_concurrent(5);
+  EXPECT_EQ(c.occupancy(5), 1u);
+  EXPECT_EQ(c.add(5), 2u);
 }
 
 }  // namespace

@@ -3,10 +3,12 @@
 // merged output is bit-identical for ANY thread count — threads ∈
 // {1, 2, 8} here — across every topology family and every workload
 // observer, including the noise paths that draw from per-shard streams.
-// Also covers the ShardPlan layout, the dense and lock-free hash
-// collision counters' serial/concurrent parity, statistical sanity of
-// the sharded stream (Algorithm 1 stays unbiased), and thread-count
-// invariance at the scenario::Experiment level for engine=sharded specs.
+// Also covers the ShardPlan layout, the dense counter's serial/concurrent
+// parity (the hash counter's is in test_collision_counter.cpp), the
+// engine's hash-counter fallback above use_dense_counter's cap,
+// statistical sanity of the sharded stream (Algorithm 1 stays unbiased),
+// and thread-count invariance at the scenario::Experiment level for
+// engine=sharded specs.
 #include "sim/walk_engine.hpp"
 
 #include <gtest/gtest.h>
@@ -25,7 +27,6 @@
 #include "graph/torus_kd.hpp"
 #include "scenario/ball_density.hpp"
 #include "scenario/experiment.hpp"
-#include "sim/concurrent_counter.hpp"
 #include "sim/dense_counter.hpp"
 #include "sim/density_sim.hpp"
 #include "stats/accumulator.hpp"
@@ -77,36 +78,6 @@ TEST(ShardPlan, RejectsDegenerateInputs) {
 
 // --- The occupancy counters ------------------------------------------
 
-TEST(ConcurrentCounter, SerialAndConcurrentAddsAgree) {
-  // Same keys through add_serial, single-threaded add, and genuinely
-  // concurrent add via a pool: occupancy must be exact in all three.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    keys.push_back(i % 37);  // heavy collisions
-  }
-  ConcurrentCollisionCounter serial(keys.size());
-  serial.begin_round();
-  for (std::uint64_t k : keys) {
-    serial.add_serial(k);
-  }
-  ConcurrentCollisionCounter atomic_1t(keys.size());
-  atomic_1t.begin_round();
-  for (std::uint64_t k : keys) {
-    atomic_1t.add(k);
-  }
-  ConcurrentCollisionCounter parallel(keys.size());
-  parallel.begin_round();
-  util::WorkerPool pool(4);
-  pool.run(keys.size(), [&](std::size_t i) { parallel.add(keys[i]); });
-
-  for (std::uint64_t k = 0; k < 40; ++k) {
-    const std::uint32_t expect = k < 37 ? (500 + 37 - k - 1) / 37 : 0;
-    EXPECT_EQ(serial.occupancy(k), expect) << k;
-    EXPECT_EQ(atomic_1t.occupancy(k), expect) << k;
-    EXPECT_EQ(parallel.occupancy(k), expect) << k;
-  }
-}
-
 TEST(DenseCounter, SerialAndConcurrentAddsAgree) {
   // Same heavily colliding keys through serial add and through
   // add_concurrent from a pool, over two rounds so the second round's
@@ -137,18 +108,6 @@ TEST(DenseCounter, SerialAndConcurrentAddsAgree) {
   }
 }
 
-TEST(ConcurrentCounter, EpochInvalidatesPreviousRound) {
-  ConcurrentCollisionCounter counter(8);
-  counter.begin_round();
-  counter.add_serial(5);
-  counter.add_serial(5);
-  EXPECT_EQ(counter.occupancy(5), 2u);
-  counter.begin_round();
-  EXPECT_EQ(counter.occupancy(5), 0u);
-  counter.add(5);
-  EXPECT_EQ(counter.occupancy(5), 1u);
-}
-
 // --- Thread-count invariance, all topology families -------------------
 
 template <graph::Topology T>
@@ -177,6 +136,36 @@ TEST(ShardedEquivalence, DensityThreadsAgreeAcrossTopologies) {
   const graph::Graph g = graph::make_random_regular_graph(128, 4, 99);
   expect_sharded_threads_agree(graph::ExplicitTopology(g, "rr"),
                                base_config(), 5);
+}
+
+TEST(ShardedEquivalence, HashCounterFallbackThreadsAgree) {
+  // A ring just above the dense counter's cap puts the engine on the
+  // hash CollisionCounter, filled through add_concurrent once threads
+  // > 1.  Every agent starts within 64 nodes of the top, so the keys sit
+  // above the cap and agents share nodes every round.
+  const Ring ring((std::uint64_t{1} << 24) + 4096);
+  ASSERT_FALSE(use_dense_counter(ring.num_nodes()));
+  DensityConfig cfg;
+  cfg.num_agents = 256;
+  cfg.rounds = 40;
+  std::vector<std::uint64_t> start(cfg.num_agents);
+  for (std::uint32_t i = 0; i < cfg.num_agents; ++i) {
+    start[i] = ring.num_nodes() - 64 + i % 64;
+  }
+  const auto run = [&](unsigned threads) {
+    return run_density_walk(
+               ring, cfg, 17,
+               ShardExec{.threads = threads, .shard_size = kTestShardSize},
+               &start)
+        .collision_counts;
+  };
+  const std::vector<std::uint64_t> reference = run(1);
+  for (std::uint64_t c : reference) {
+    EXPECT_GT(c, 0u);
+  }
+  for (unsigned threads : {2u, 4u}) {
+    EXPECT_EQ(run(threads), reference) << "diverged at threads=" << threads;
+  }
 }
 
 TEST(ShardedEquivalence, FallbackTopologyThreadsAgree) {

@@ -73,6 +73,14 @@ TEST(Table, CsvPlainCellsUnquoted) {
   EXPECT_EQ(os.str(), "a\nplain\n");
 }
 
+TEST(CsvEscape, QuotesOnlyWhenNeeded) {
+  EXPECT_EQ(csv_escape("plain"), "plain");
+  EXPECT_EQ(csv_escape(""), "");
+  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv_escape("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+}
+
 TEST(PrintHelpers, SectionAndNote) {
   std::ostringstream os;
   print_section(os, "Title");

@@ -86,17 +86,23 @@ TEST(DenseCounter, SelectionPolicy) {
 }
 
 TEST(VectorEngine, CounterChoiceIsUnobservable) {
-  // Same walk through the dense counter (default on this substrate) and
-  // the hash counter (forced): identical counts.
+  // Same walk through the dense counter (run_walk's choice on this
+  // substrate) and the hash counter: identical counts.
   const graph::Torus2D torus(24, 24);
-  DensityConfig cfg;
+  WalkConfig cfg;
   cfg.num_agents = 60;
   cfg.rounds = 100;
-  const DensityResult dense =
-      run_density_walk(torus, cfg, kSeed, VectorExec{});
-  const DensityResult hash = run_density_walk(
-      torus, cfg, kSeed, VectorExec{.force_hash_counter = true});
-  EXPECT_EQ(dense.collision_counts, hash.collision_counts);
+  const auto counts_with = [&](auto& counter) {
+    CollisionObserver observer(cfg.num_agents);
+    detail::run_rounds(
+        torus, cfg, kSeed, VectorExec{}, counter,
+        static_cast<const std::vector<graph::Torus2D::node_type>*>(nullptr),
+        observer);
+    return observer.take_counts();
+  };
+  DenseCollisionCounter dense(torus.num_nodes());
+  CollisionCounter hash(cfg.num_agents);
+  EXPECT_EQ(counts_with(dense), counts_with(hash));
 }
 
 // --- Sequential equivalence of vector_step ----------------------------
