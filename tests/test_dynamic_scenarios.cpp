@@ -209,6 +209,24 @@ TEST(DynamicScenarios, DynamicResultsArePinned) {
            "rounds":30,"seed":3,"trials":2,"engine":"vector",
            "dynamics":"churn:p_edge=0.02,p_fail=0.01"})",
        "99439eda9a56d069"},
+      // A model combined with every sensing knob pins the per-agent draw
+      // order: birth reset, alive skip, rounds observed, dropout, the
+      // model's observe transform, miss, spurious.  Drift reborn slots
+      // restart mid-walk; fade draws from the observer stream too.
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"dropout":0.1,"miss":0.2,"spurious":0.05,
+           "engine":"single",
+           "dynamics":"drift:p_death=0.05,p_birth=0.1"})",
+       "579bcd04be38f95b"},
+      {R"({"topology":"ring:256","workload":"density","agents":24,
+           "rounds":24,"seed":8,"dropout":0.1,"miss":0.2,"spurious":0.05,
+           "engine":"vector",
+           "dynamics":"drift:p_death=0.05,p_birth=0.1"})",
+       "aad19c68b465d6c4"},
+      {R"({"topology":"hypercube:8","workload":"density","agents":40,
+           "rounds":20,"seed":4,"dropout":0.15,"spurious":0.1,
+           "engine":"single","dynamics":"fade:p0=0.2,step=0.05"})",
+       "79c8536287cc480c"},
   };
   for (const auto& g : goldens) {
     EXPECT_EQ(result_hash(spec_of(g.json)), g.hash)
