@@ -29,7 +29,8 @@
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_engine.json)
 //   --tiny            CI smoke mode: small sizes, seconds total
-//   --reps=N          timing repetitions, best-of (default 3)
+//   --reps=N          timing repetitions, best-of (default 3), each rep
+//                     running every path of a cell once (bench::time_paths)
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
 // Acceptance: the engine path is no slower than the legacy loop at 10k
@@ -64,7 +65,6 @@
 #include "util/cli.hpp"
 #include "util/format.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -83,21 +83,6 @@ struct Cell {
   std::uint64_t peak_rss = 0;  // high-water RSS during this cell
 };
 
-/// Best-of-`reps` ns/agent-round for one stepping path.
-template <typename RunFn>
-double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
-                 int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::WallTimer timer;
-    run(static_cast<std::uint64_t>(rep));
-    const double ns = timer.elapsed_seconds() * 1e9 /
-                      (static_cast<double>(agents) * rounds);
-    best = ns < best ? ns : best;
-  }
-  return best;
-}
-
 template <graph::Topology T>
 Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
                   int reps) {
@@ -113,18 +98,6 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   cell.rounds = cfg.rounds;
   // DoNotOptimize equivalent: fold a count into a volatile sink.
   static volatile std::uint64_t sink = 0;
-  cell.legacy_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::legacy::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  cell.engine_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
   // Same engine, full telemetry ambient: counters, phase histograms,
   // and the trace ring all live.  The registry persists across reps —
   // exactly how a long-lived process accumulates — so instrument
@@ -132,39 +105,50 @@ Cell measure_cell(const T& topo, std::uint32_t agents, std::uint64_t budget,
   obs::MetricsRegistry obs_metrics;
   obs::TraceRecorder obs_trace;
   obs::Telemetry obs_bundle{&obs_metrics, &obs_trace};
-  cell.obs_ns = time_path(
-      [&](std::uint64_t rep) {
-        obs::ScopedTelemetry ambient(&obs_bundle);
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  cell.vector_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
-                                            sim::VectorExec{})
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
   const graph::AnyTopology any(topo);
-  cell.any_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(any, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
   // The dynamics layer's overhead row: the same AnyTopology walk with a
   // zero-rate churn model attached — the mutation phase fires every
   // round but mutates nothing, an upper bound on what the layer costs a
   // scenario that never asked for dynamics (whose cfg.dynamics is null
   // and which skips even this).  Trended, not gated.
   sim::ChurnDynamics idle_dyn(any, 0.0, 0.0, 10, 0);
-  cell.dyn_ns = time_path(
-      [&](std::uint64_t rep) {
-        const std::vector<double> est =
-            sim::run_dynamic_density_walk(any, cfg, idle_dyn, 0xBE7C + rep);
-        sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
-      },
+  sim::DensityConfig dyn_cfg = cfg;
+  dyn_cfg.dynamics = &idle_dyn;
+  bench::time_paths(
+      {{&cell.legacy_ns,
+        [&](std::uint64_t rep) {
+          sink = sink +
+                 sim::legacy::run_density_walk(topo, cfg, 0xBE7C + rep)
+                     .collision_counts[0];
+        }},
+       {&cell.engine_ns,
+        [&](std::uint64_t rep) {
+          sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
+                            .collision_counts[0];
+        }},
+       {&cell.obs_ns,
+        [&](std::uint64_t rep) {
+          obs::ScopedTelemetry ambient(&obs_bundle);
+          sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
+                            .collision_counts[0];
+        }},
+       {&cell.vector_ns,
+        [&](std::uint64_t rep) {
+          sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
+                                              sim::VectorExec{})
+                            .collision_counts[0];
+        }},
+       {&cell.any_ns,
+        [&](std::uint64_t rep) {
+          sink = sink + sim::run_density_walk(any, cfg, 0xBE7C + rep)
+                            .collision_counts[0];
+        }},
+       {&cell.dyn_ns,
+        [&](std::uint64_t rep) {
+          const std::vector<double> est =
+              sim::run_density_walk(any, dyn_cfg, 0xBE7C + rep).estimates();
+          sink = sink + static_cast<std::uint64_t>(est[0] * 1e9);
+        }}},
       agents, cfg.rounds, reps);
   cell.peak_rss = bench::peak_rss_bytes();
   return cell;

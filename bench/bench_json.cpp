@@ -1,5 +1,6 @@
 #include "bench_json.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -8,12 +9,30 @@
 
 #include "util/check.hpp"
 #include "util/json.hpp"
+#include "util/timer.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
 namespace antdense::bench {
+
+void time_paths(const std::vector<TimedPath>& paths, std::uint64_t agents,
+                std::uint64_t rounds, int reps) {
+  const double agent_rounds =
+      static_cast<double>(agents) * static_cast<double>(rounds);
+  for (const TimedPath& path : paths) {
+    *path.ns = 1e300;
+  }
+  for (int rep = 0; rep < reps; ++rep) {
+    for (const TimedPath& path : paths) {
+      util::WallTimer timer;
+      path.run(static_cast<std::uint64_t>(rep));
+      const double ns = timer.elapsed_seconds() * 1e9 / agent_rounds;
+      *path.ns = std::min(*path.ns, ns);
+    }
+  }
+}
 
 void print_banner(const std::string& bench_id, const std::string& subject,
                   const std::string& acceptance) {

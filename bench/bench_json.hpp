@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,22 @@ struct BenchRecord {
   std::uint64_t hardware_threads = 0;  // 0 = not recorded
   std::uint64_t peak_rss_bytes = 0;    // 0 = not recorded
 };
+
+/// One timed stepping path of a bench cell: `run(rep)` performs one
+/// whole walk, seeded from the rep index, and `*ns` receives the path's
+/// best ns/agent-round.
+struct TimedPath {
+  double* ns = nullptr;
+  std::function<void(std::uint64_t rep)> run;
+};
+
+/// Times every path of one cell, best-of-`reps`, with the reps
+/// interleaved: rep r runs each path once, in order, before rep r+1
+/// starts.  A burst of host noise then costs one rep of several paths
+/// rather than every rep of one path, so best-of filters it out of the
+/// ratios the perf gates compare.
+void time_paths(const std::vector<TimedPath>& paths, std::uint64_t agents,
+                std::uint64_t rounds, int reps);
 
 /// Prints the standard bench banner: id, what is measured, and what
 /// the numbers should show.

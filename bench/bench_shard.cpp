@@ -14,7 +14,8 @@
 // Flags:
 //   --out=PATH        JSON output path (default BENCH_shard.json)
 //   --tiny            CI smoke mode: small sizes, seconds total
-//   --reps=N          timing repetitions, best-of (default 3; 2 in tiny)
+//   --reps=N          timing repetitions, best-of (default 3; 5 in tiny),
+//                     each rep running every path of a cell once
 //   --budget=STEPS    target agent-steps per timed run (default 2e7)
 //
 // Acceptance (the bench-smoke perf gate re-checks the first two from
@@ -26,6 +27,7 @@
 //     speedup (>= 3x on >= 8 real cores).  Each record carries
 //     "threads" and "hardware_threads" so a row from a 1-core container
 //     is not mistaken for a scaling failure.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -40,7 +42,6 @@
 #include "util/format.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -61,21 +62,6 @@ struct Cell {
   /// JSON so trend readers are never misled.
   unsigned effective_threads[std::size(kThreadCounts)] = {};
 };
-
-/// Best-of-`reps` ns/agent-round for one stepping path.
-template <typename RunFn>
-double time_path(RunFn&& run, std::uint64_t agents, std::uint64_t rounds,
-                 int reps) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    util::WallTimer timer;
-    run(static_cast<std::uint64_t>(rep));
-    const double ns = timer.elapsed_seconds() * 1e9 /
-                      (static_cast<double>(agents) * rounds);
-    best = ns < best ? ns : best;
-  }
-  return best;
-}
 
 Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
                   std::uint32_t shard_size, std::uint64_t budget, int reps) {
@@ -114,33 +100,29 @@ Cell measure_cell(const graph::Torus2D& topo, std::uint32_t agents,
   cell.rounds = cfg.rounds;
   cell.shard_size = shard_size;
   static volatile std::uint64_t sink = 0;
-  cell.engine_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
-  cell.vector_ns = time_path(
-      [&](std::uint64_t rep) {
-        sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
-                                            sim::VectorExec{})
-                          .collision_counts[0];
-      },
-      agents, cfg.rounds, reps);
+  std::vector<bench::TimedPath> paths = {
+      {&cell.engine_ns,
+       [&](std::uint64_t rep) {
+         sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep)
+                           .collision_counts[0];
+       }},
+      {&cell.vector_ns, [&](std::uint64_t rep) {
+         sink = sink + sim::run_density_walk(topo, cfg, 0xBE7C + rep,
+                                             sim::VectorExec{})
+                           .collision_counts[0];
+       }}};
   for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
     cell.effective_threads[t] =
         std::min<unsigned>(kThreadCounts[t], num_shards);
-    cell.sharded_ns[t] = time_path(
-        [&](std::uint64_t rep) {
-          sink = sink +
-                 sim::run_density_walk(
-                     topo, cfg, 0xBE7C + rep,
-                     sim::ShardExec{.threads = kThreadCounts[t],
-                                    .shard_size = shard_size})
-                     .collision_counts[0];
-        },
-        agents, cfg.rounds, reps);
+    const sim::ShardExec exec{.threads = kThreadCounts[t],
+                              .shard_size = shard_size};
+    paths.push_back({&cell.sharded_ns[t], [&, exec](std::uint64_t rep) {
+                       sink = sink + sim::run_density_walk(topo, cfg,
+                                                           0xBE7C + rep, exec)
+                                         .collision_counts[0];
+                     }});
   }
+  bench::time_paths(paths, agents, cfg.rounds, reps);
   return cell;
 }
 

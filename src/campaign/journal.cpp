@@ -1,6 +1,5 @@
 #include "campaign/journal.hpp"
 
-#include <cmath>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
@@ -26,27 +25,9 @@ util::JsonValue make_record(const PlannedExperiment& planned,
   // its "rounds" is 0, and aggregation groups on what actually ran.
   res.set("rounds", result.spec.rounds);
   res.set("true_value", result.true_value);
-  // When the ground truth is exactly 0 (a property sweep including
-  // property_fraction 0) relative error is undefined; the record falls
-  // back to the absolute mean so it stays finite and serializable.
-  // Group such experiments separately when aggregating — mean_rel_error
-  // over a mixed group would average two different metrics.
-  const double rel_error =
-      result.true_value == 0.0
-          ? std::fabs(result.summary.mean)
-          : std::fabs(result.summary.mean - result.true_value) /
-                result.true_value;
-  res.set("rel_error", rel_error);
-
-  util::JsonValue summary = util::JsonValue::object();
-  summary.set("count", result.summary.count);
-  summary.set("mean", result.summary.mean);
-  summary.set("stddev", result.summary.stddev);
-  summary.set("standard_error", result.summary.standard_error);
-  summary.set("min", result.summary.min);
-  summary.set("max", result.summary.max);
-  summary.set("within_eps", result.summary.within_eps);
-  res.set("summary", std::move(summary));
+  res.set("rel_error", scenario::relative_error(result.summary.mean,
+                                                result.true_value));
+  res.set("summary", result.summary.to_json());
 
   doc.set("result", std::move(res));
   return doc;

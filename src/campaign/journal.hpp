@@ -18,9 +18,13 @@
 //     "campaign": name, "id": hex64, "seed": derived-seed,
 //     "spec": { declared identity JSON },
 //     "result": { "topology": str, "num_nodes": int, "rounds": int,
-//                 "true_value": num, "rel_error": num,
+//                 "true_value": num,
+//                 "rel_error": num,  // scenario::relative_error
 //                 "summary": { count, mean, stddev, standard_error,
 //                              min, max, within_eps } } }
+//
+// The summary object is ScenarioSummary::to_json(), the same writer the
+// scenario result document uses.
 //
 // Paper: Musco, Su & Lynch (PODC 2016, arXiv:1603.02981).
 #pragma once

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "core/density_estimator.hpp"
@@ -12,7 +13,6 @@
 #include "scenario/ball_density.hpp"
 #include "scenario/dynamics_registry.hpp"
 #include "sim/density_sim.hpp"
-#include "sim/dynamic_world.hpp"
 #include "sim/trajectory.hpp"
 #include "sim/trial_runner.hpp"
 #include "sim/walk_engine.hpp"
@@ -128,6 +128,23 @@ sim::DensityConfig density_config(const ScenarioSpec& spec) {
 
 }  // namespace
 
+util::JsonValue ScenarioSummary::to_json() const {
+  util::JsonValue doc = util::JsonValue::object();
+  doc.set("count", count);
+  doc.set("mean", mean);
+  doc.set("stddev", stddev);
+  doc.set("standard_error", standard_error);
+  doc.set("min", min);
+  doc.set("max", max);
+  doc.set("within_eps", within_eps);
+  return doc;
+}
+
+double relative_error(double mean, double true_value) {
+  return true_value == 0.0 ? std::fabs(mean)
+                           : std::fabs(mean - true_value) / true_value;
+}
+
 util::JsonValue ScenarioResult::to_json() const {
   util::JsonValue doc = util::JsonValue::object();
   doc.set("schema", "antdense.scenario.v1");
@@ -137,16 +154,7 @@ util::JsonValue ScenarioResult::to_json() const {
   doc.set("workload", workload_name(spec.workload));
   doc.set("rounds", spec.rounds);
   doc.set("true_value", true_value);
-
-  util::JsonValue summary_doc = util::JsonValue::object();
-  summary_doc.set("count", summary.count);
-  summary_doc.set("mean", summary.mean);
-  summary_doc.set("stddev", summary.stddev);
-  summary_doc.set("standard_error", summary.standard_error);
-  summary_doc.set("min", summary.min);
-  summary_doc.set("max", summary.max);
-  summary_doc.set("within_eps", summary.within_eps);
-  doc.set("summary", std::move(summary_doc));
+  doc.set("summary", summary.to_json());
 
   util::JsonValue estimates_doc = util::JsonValue::array();
   for (double e : estimates) {
@@ -230,22 +238,22 @@ ScenarioResult Experiment::run(const ProgressHooks& hooks) const {
   with_engine(spec_.engine, walk_threads, [&](const auto& exec) {
     switch (spec_.workload) {
       case Workload::kDensity: {
-        // One driver call per seed: run_density_walk, or on a dynamic
-        // world run_dynamic_density_walk on the same walk stream (tag
-        // 0x51) with a fresh model per call, so trials stay independent
-        // and order-free.  One trial runs on the spec's seed with the
-        // round-progress tap; fan-outs pool derived per-trial seeds.
+        // One run_density_walk call per seed on the walk stream (tag
+        // 0x51).  A dynamic world gets a fresh model per call, so trials
+        // stay independent and order-free.  One trial runs on the spec's
+        // seed with the round-progress tap; fan-outs pool derived
+        // per-trial seeds.
         const auto density_walk = [&](std::uint64_t seed, auto&... extra) {
-          if (spec_.dynamics.empty()) {
-            return sim::run_density_walk(topo_, cfg, seed, exec, nullptr,
-                                         extra...)
-                .estimates();
+          std::unique_ptr<sim::WorldDynamics> model;
+          sim::DensityConfig walk_cfg = cfg;
+          if (!spec_.dynamics.empty()) {
+            model = DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
+                                                      spec_.agents);
+            walk_cfg.dynamics = model.get();
           }
-          const std::unique_ptr<sim::WorldDynamics> model =
-              DynamicsRegistry::built_in().make(spec_.dynamics, topo_,
-                                                spec_.agents);
-          return sim::run_dynamic_density_walk(topo_, cfg, *model, seed,
-                                               exec, extra...);
+          return sim::run_density_walk(topo_, walk_cfg, seed, exec, nullptr,
+                                       extra...)
+              .estimates();
         };
         if (spec_.trials == 1) {
           RoundProgressObserver progress(hooks, spec_.rounds);

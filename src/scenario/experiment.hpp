@@ -3,8 +3,8 @@
 // the round budget (explicit rounds, or Theorem-1 planning via
 // core::plan_rounds), and runs the requested workload through exactly
 // one driver each:
-//   - density: sim::run_density_walk, or sim::run_dynamic_density_walk
-//     when the spec names a dynamics model;
+//   - density: sim::run_density_walk, with a fresh dynamics model per
+//     call when the spec names one;
 //   - property: core::estimate_property_frequency;
 //   - trajectory: sim::run_trajectory;
 //   - local-density: sim::run_walk with the generic BallDensityObserver.
@@ -47,7 +47,19 @@ struct ScenarioSummary {
   double min = 0.0;
   double max = 0.0;
   double within_eps = 0.0;
+
+  /// The seven summary keys, in schema order: the result document's and
+  /// the campaign journal's "summary" object.
+  util::JsonValue to_json() const;
 };
+
+/// Relative error of a pooled mean against the ground truth,
+/// |mean - truth| / truth.  When the truth is exactly 0 (a property
+/// sweep including property_fraction 0) it is undefined, and the rule
+/// falls back to |mean| so the value stays finite and serializable;
+/// aggregate such experiments separately.  Campaign journals and sweep
+/// responses both report this.
+double relative_error(double mean, double true_value);
 
 struct ScenarioResult {
   ScenarioSpec spec;  // fully resolved: rounds is never 0 here

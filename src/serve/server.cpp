@@ -69,13 +69,7 @@ double payload_rel_error(const util::JsonValue& result_doc) {
   if (truth == nullptr || mean == nullptr) {
     return 0.0;
   }
-  const double t = truth->as_double();
-  const double m = mean->as_double();
-  if (t == 0.0) {
-    return m < 0 ? -m : m;
-  }
-  const double diff = m - t;
-  return (diff < 0 ? -diff : diff) / t;
+  return scenario::relative_error(mean->as_double(), truth->as_double());
 }
 
 }  // namespace

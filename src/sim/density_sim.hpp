@@ -8,6 +8,11 @@
 // by default, ShardExec or VectorExec), keeping the same seed tags on
 // every engine.
 //
+// run_density_walk is the one density driver for static and dynamic
+// worlds alike: a DensityConfig::dynamics model (churn, drift, fade;
+// sim/dynamic_world.hpp) rides into the walk through walk_config() and
+// into the CollisionObserver, which then estimates per living slot.
+//
 // The drivers also implement the perturbations Section 6.1 proposes for
 // robustness studies (they are *off* by default, matching the paper's
 // model exactly):
@@ -48,6 +53,9 @@ struct DensityConfig {
   /// An agent's whole observation is lost w.p. p per round (the round
   /// still divides the estimate) — see CollisionObserver::Noise.
   double observation_dropout_probability = 0.0;
+  /// Optional world-mutation model (sim/dynamics.hpp), not owned; null
+  /// is the static walk.  A model is stateful: give each walk its own.
+  WorldDynamics* dynamics = nullptr;
 
   void validate() const {
     ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
@@ -65,19 +73,21 @@ struct DensityConfig {
                    "dropout probability must be in [0,1]");
   }
 
-  /// The sensing-noise slice, for CollisionObserver and its kin.
+  /// The sensing-noise slice, for CollisionObserver.
   CollisionObserver::Noise noise() const {
     return {.detection_miss = detection_miss_probability,
             .spurious = spurious_collision_probability,
             .dropout = observation_dropout_probability};
   }
 
-  /// The movement-only slice of this config, for the walk engine.
+  /// The movement slice of this config (with the model that mutates
+  /// the world), for the walk engine.
   WalkConfig walk_config() const {
     WalkConfig cfg;
     cfg.num_agents = num_agents;
     cfg.rounds = rounds;
     cfg.lazy_probability = lazy_probability;
+    cfg.dynamics = dynamics;
     return cfg;
   }
 };
@@ -86,6 +96,10 @@ struct DensityResult {
   std::vector<std::uint64_t> collision_counts;  // per agent, summed rounds
   std::uint32_t rounds = 0;
   std::uint64_t num_nodes = 0;
+  /// Dynamic worlds only: rounds each slot's current incarnation
+  /// observed, 0 for slots not alive at the end.  Empty on a static
+  /// world, where every slot observed all `rounds`.
+  std::vector<std::uint32_t> observed_rounds;
 
   /// The paper's density d = n/A where n is the number of *other* agents.
   double true_density() const {
@@ -93,12 +107,18 @@ struct DensityResult {
            static_cast<double>(num_nodes);
   }
 
-  /// Per-agent estimates d~ = c / t (Algorithm 1's return value).
+  /// Per-agent estimates d~ = c / t (Algorithm 1's return value), for
+  /// every slot on a static world and for the living slots on a dynamic
+  /// one.
   std::vector<double> estimates() const {
     std::vector<double> out;
     out.reserve(collision_counts.size());
-    for (std::uint64_t c : collision_counts) {
-      out.push_back(static_cast<double>(c) / rounds);
+    for (std::size_t i = 0; i < collision_counts.size(); ++i) {
+      const std::uint32_t t =
+          observed_rounds.empty() ? rounds : observed_rounds[i];
+      if (t > 0) {
+        out.push_back(static_cast<double>(collision_counts[i]) / t);
+      }
     }
     return out;
   }
@@ -109,6 +129,12 @@ struct DensityResult {
 /// must hold num_agents nodes (used by the non-uniform-placement
 /// experiments); otherwise agents start i.i.d. uniform, as the paper
 /// assumes.  Deterministic in `seed` on each engine.
+///
+/// With cfg.dynamics set (uint64-node topologies only, i.e.
+/// graph::AnyTopology) the walk stream is the same tag-0x51 stream and
+/// the model mutates between rounds from its own derived stream; the
+/// result's estimates() cover the slots alive at the end.  Sharded stays
+/// bit-identical for any ShardExec::threads.
 ///
 /// `extra` observers ride after the CollisionObserver in pack order
 /// (the scenario layer attaches its round-progress observer here); an
@@ -122,12 +148,13 @@ DensityResult run_density_walk(
     const std::vector<typename T::node_type>* initial_positions = nullptr,
     Extra&... extra) {
   cfg.validate();
-  CollisionObserver observer(cfg.num_agents, cfg.noise());
+  CollisionObserver observer(cfg.num_agents, cfg.noise(), cfg.dynamics);
   run_walk(topo, cfg.walk_config(), rng::derive_seed(seed, 0x51u), exec,
            initial_positions, observer, extra...);
 
   DensityResult result;
   result.collision_counts = observer.take_counts();
+  result.observed_rounds = observer.take_observed_rounds();
   result.rounds = cfg.rounds;
   result.num_nodes = topo.num_nodes();
   return result;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/check.hpp"
 #include "util/format.hpp"
 
 namespace antdense::sim {
@@ -210,42 +211,6 @@ void FadeDynamics::mutate(std::uint32_t round, rng::Xoshiro256pp& mut_gen,
     }
     p = std::clamp(p, 0.0, 1.0);
   }
-}
-
-DynamicCollisionObserver::DynamicCollisionObserver(
-    std::uint32_t num_agents, const WorldDynamics& model,
-    CollisionObserver::Noise noise)
-    : model_(&model),
-      noise_(noise),
-      counts_(num_agents, 0),
-      observed_rounds_(num_agents, 0),
-      seen_birth_(num_agents, 1) {
-  ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
-  ANTDENSE_CHECK(noise.detection_miss >= 0.0 && noise.detection_miss <= 1.0,
-                 "miss probability must be in [0,1]");
-  ANTDENSE_CHECK(noise.spurious >= 0.0 && noise.spurious <= 1.0,
-                 "spurious probability must be in [0,1]");
-  ANTDENSE_CHECK(noise.dropout >= 0.0 && noise.dropout <= 1.0,
-                 "dropout probability must be in [0,1]");
-  if (obs::Telemetry* tel = obs::ambient_telemetry();
-      tel != nullptr && tel->metrics != nullptr) {
-    collisions_tap_ = &tel->metrics->counter(
-        "antdense_collisions_observed_total", {},
-        "Collisions recorded by CollisionObserver (post sensing noise)");
-  }
-}
-
-std::vector<double> DynamicCollisionObserver::estimates() const {
-  std::vector<double> out;
-  out.reserve(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (model_->alive(static_cast<std::uint32_t>(i)) &&
-        observed_rounds_[i] > 0) {
-      out.push_back(static_cast<double>(counts_[i]) /
-                    static_cast<double>(observed_rounds_[i]));
-    }
-  }
-  return out;
 }
 
 }  // namespace antdense::sim

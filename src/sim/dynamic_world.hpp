@@ -1,6 +1,8 @@
-// The built-in WorldDynamics implementations (sim/dynamics.hpp) and the
-// density observer that understands them.  Three perturbation models,
-// spec grammar in scenario/dynamics_registry.cpp:
+// The built-in WorldDynamics implementations (sim/dynamics.hpp).  A
+// density walk takes one through DensityConfig::dynamics: run_walk runs
+// its mutate phase and CollisionObserver its per-slot bookkeeping
+// (sim/density_sim.hpp).  Three perturbation models, spec grammar in
+// scenario/dynamics_registry.cpp:
 //
 //   churn:p_edge=,p_fail=[,mean_down=][,seed=]
 //     Edge churn + node failure on a time-varying overlay
@@ -34,7 +36,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,10 +44,7 @@
 #include "graph/time_varying.hpp"
 #include "obs/telemetry.hpp"
 #include "rng/random.hpp"
-#include "sim/density_sim.hpp"
 #include "sim/dynamics.hpp"
-#include "sim/walk_engine.hpp"
-#include "util/check.hpp"
 
 namespace antdense::sim {
 
@@ -152,94 +151,5 @@ class FadeDynamics final : public WorldDynamics {
   std::uint64_t seed_;
   std::vector<double> miss_;
 };
-
-/// CollisionObserver's dynamics-aware sibling: per-slot cumulative
-/// counts plus the bookkeeping dynamic worlds need — dead slots are
-/// skipped, a slot whose birth round changed restarts from zero, and
-/// raw partner counts run through the model's observation transform
-/// before the spec-level sensing noise (dropout first, then miss, then
-/// spurious — the same draw order as CollisionObserver).  Estimates are
-/// counts / rounds-observed for the slots alive at the end of the walk.
-class DynamicCollisionObserver {
- public:
-  DynamicCollisionObserver(std::uint32_t num_agents,
-                           const WorldDynamics& model,
-                           CollisionObserver::Noise noise);
-
-  template <typename View>
-  void after_round(const View& v) {
-    ANTDENSE_ASSERT(v.num_agents == counts_.size(),
-                    "observer sized for a different agent count");
-    const bool transforms = model_->transforms_observations();
-    std::uint64_t observed = 0;
-    for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
-      const std::uint32_t born = model_->birth_round(i);
-      if (born != seen_birth_[i]) {
-        seen_birth_[i] = born;
-        counts_[i] = 0;
-        observed_rounds_[i] = 0;
-      }
-      if (!model_->alive(i)) {
-        continue;
-      }
-      ++observed_rounds_[i];
-      if (noise_.dropout > 0.0 && rng::bernoulli(v.gen, noise_.dropout)) {
-        continue;  // reading lost entirely; the round still elapsed
-      }
-      std::uint64_t others = v.counter.occupancy(v.keys[i]) - 1;
-      if (transforms) {
-        others = model_->observe(i, others, v.gen);
-      }
-      if (noise_.detection_miss > 0.0) {
-        others = rng::binomial(v.gen, others, 1.0 - noise_.detection_miss);
-      }
-      if (noise_.spurious > 0.0 && rng::bernoulli(v.gen, noise_.spurious)) {
-        ++others;
-      }
-      counts_[i] += others;
-      observed += others;
-    }
-    if (collisions_tap_ != nullptr) {
-      collisions_tap_->add(observed);
-    }
-  }
-
-  /// Algorithm-1 estimates for the living population: counts_i /
-  /// rounds-observed_i over slots alive with at least one observed
-  /// round.  (Dead slots carry stale counts and are excluded.)
-  std::vector<double> estimates() const;
-
-  const std::vector<std::uint64_t>& counts() const { return counts_; }
-
- private:
-  const WorldDynamics* model_;
-  CollisionObserver::Noise noise_;
-  std::vector<std::uint64_t> counts_;
-  std::vector<std::uint32_t> observed_rounds_;
-  std::vector<std::uint32_t> seen_birth_;
-  obs::Counter* collisions_tap_ = nullptr;
-};
-
-/// Algorithm 1 with a dynamic world: the walk stream is the exact
-/// run_density_walk stream of the chosen engine (tag 0x51); the model
-/// mutates between rounds from its own derived stream.  Returns the
-/// living population's estimates.  Sharded stays bit-identical for any
-/// ShardExec::threads.
-template <ExecPolicy Exec = SingleExec, typename... Extra>
-std::vector<double> run_dynamic_density_walk(const graph::AnyTopology& topo,
-                                             const DensityConfig& cfg,
-                                             WorldDynamics& model,
-                                             std::uint64_t seed,
-                                             const Exec& exec = {},
-                                             Extra&... extra) {
-  cfg.validate();
-  DynamicCollisionObserver observer(cfg.num_agents, model, cfg.noise());
-  WalkConfig wcfg = cfg.walk_config();
-  wcfg.dynamics = &model;
-  run_walk(topo, wcfg, rng::derive_seed(seed, 0x51u), exec,
-           static_cast<const std::vector<std::uint64_t>*>(nullptr), observer,
-           extra...);
-  return observer.estimates();
-}
 
 }  // namespace antdense::sim

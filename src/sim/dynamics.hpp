@@ -12,6 +12,11 @@
 //                       count agents with count_mask()    [per lane]
 //                       observer hooks                    [unchanged]
 //
+// The density workload hands a model in through DensityConfig::dynamics:
+// run_density_walk passes it to run_walk and to its CollisionObserver,
+// which skips dead slots, restarts reborn ones (birth_round) and routes
+// raw counts through observe().
+//
 // RNG-stream isolation is the heart of the contract: every stochastic
 // mutation draw comes from `mut_gen`, a generator the engine seeds via
 // rng::derive_mutation_stream(stream_seed, model_seed()) — a
@@ -39,9 +44,10 @@
 
 namespace antdense::sim {
 
-/// Abstract perturbation model driven by the engines' mutation phase.
-/// Implementations: sim/dynamic_world.hpp (churn, drift, fade), built
-/// from spec strings by scenario::DynamicsRegistry.
+/// Abstract perturbation model driven by the engines' mutation phase
+/// and read by CollisionObserver.  Implementations: sim/dynamic_world.hpp
+/// (churn, drift, fade), built from spec strings by
+/// scenario::DynamicsRegistry.
 class WorldDynamics {
  public:
   virtual ~WorldDynamics() = default;

@@ -21,9 +21,14 @@ void WalkConfig::validate() const {
                  "lazy probability must be in [0,1)");
 }
 
-CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise)
-    : noise_(noise), counts_(num_agents, 0) {
+CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise,
+                                     const WorldDynamics* model)
+    : noise_(noise), model_(model), counts_(num_agents, 0) {
   ANTDENSE_CHECK(num_agents >= 1, "need at least one agent");
+  if (model_ != nullptr) {
+    observed_rounds_.assign(num_agents, 0);
+    seen_birth_.assign(num_agents, 1);
+  }
   // Resolved once at construction (on the caller thread, where ambient
   // telemetry is installed); the striped counter is then safe to add to
   // from any shard worker.  Counting happens on deterministic
@@ -40,6 +45,15 @@ CollisionObserver::CollisionObserver(std::uint32_t num_agents, Noise noise)
                  "spurious probability must be in [0,1]");
   ANTDENSE_CHECK(noise.dropout >= 0.0 && noise.dropout <= 1.0,
                  "dropout probability must be in [0,1]");
+}
+
+std::vector<std::uint32_t> CollisionObserver::take_observed_rounds() {
+  for (std::size_t i = 0; i < observed_rounds_.size(); ++i) {
+    if (!model_->alive(static_cast<std::uint32_t>(i))) {
+      observed_rounds_[i] = 0;  // dead slots carry stale counts
+    }
+  }
+  return std::move(observed_rounds_);
 }
 
 PropertyObserver::PropertyObserver(std::vector<bool> has_property)

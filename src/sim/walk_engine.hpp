@@ -1,8 +1,12 @@
 // The synchronous round loop (Musco, Su & Lynch, PODC 2016,
 // arXiv:1603.02981, Algorithm 1): every agent steps, counts the agents
-// on its node, and reports c/t.  Every workload — density estimation,
-// two-class property counting, trajectory recording, local-density
-// profiling — and every engine runs through the ONE loop in run_walk.
+// on its node, and reports c/t.  The walk workloads — density estimation
+// on static and dynamic worlds, two-class property counting, trajectory
+// recording, local-density profiling — run on every engine through the
+// ONE loop in run_walk.  Three drivers keep private round loops because
+// their rounds are not this one's: core::run_sequential_quorum (stops
+// early once a verdict is reached), core::run_independent_sampling
+// (deterministic walkers) and swarm::run_dispersion (double steps).
 //
 // One round, written once:
 //   0. mutate: when a dynamics model is attached (sim/dynamics.hpp) and
@@ -198,6 +202,13 @@ concept WalkObserverForView =
 /// Per-agent cumulative collision counts — Algorithm 1's `c`, with the
 /// Section 6.1 sensing perturbations (detection misses, spurious
 /// detections) applied at observation time.
+///
+/// On a dynamic world (a non-null WorldDynamics model, sim/dynamics.hpp)
+/// it also keeps Algorithm 1's `t` per slot: dead slots observe nothing,
+/// a slot whose birth round changed is a new agent and restarts from
+/// zero, and raw partner counts pass through the model's observation
+/// transform before the spec-level sensing noise.  Static walks keep no
+/// such bookkeeping: every slot observes every round.
 class CollisionObserver {
  public:
   struct Noise {
@@ -216,13 +227,15 @@ class CollisionObserver {
 
   explicit CollisionObserver(std::uint32_t num_agents)
       : CollisionObserver(num_agents, Noise{}) {}
-  CollisionObserver(std::uint32_t num_agents, Noise noise);
+  /// `model` (not owned, may be null) must be the one the walk mutates.
+  CollisionObserver(std::uint32_t num_agents, Noise noise,
+                    const WorldDynamics* model = nullptr);
 
   template <typename View>
   void after_round(const View& v) {
     ANTDENSE_ASSERT(v.num_agents == counts_.size(),
                     "observer sized for a different agent count");
-    if (!noise_.any()) {
+    if (!noise_.any() && model_ == nullptr) {
       if (collisions_tap_ == nullptr) {
         for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
           counts_[i] += v.counter.occupancy(v.keys[i]) - 1;
@@ -241,12 +254,34 @@ class CollisionObserver {
       }
       return;
     }
+    // The one loop for sensing noise and/or a dynamics model.  Per
+    // agent: birth reset, alive skip, rounds observed, dropout, the
+    // model's observe transform, miss, spurious.  Without a model the
+    // model steps are skipped, so static noisy streams are unchanged.
+    const WorldDynamics* const model = model_;
+    const bool transforms =
+        model != nullptr && model->transforms_observations();
     std::uint64_t observed = 0;
     for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+      if (model != nullptr) {
+        const std::uint32_t born = model->birth_round(i);
+        if (born != seen_birth_[i]) {
+          seen_birth_[i] = born;
+          counts_[i] = 0;
+          observed_rounds_[i] = 0;
+        }
+        if (!model->alive(i)) {
+          continue;
+        }
+        ++observed_rounds_[i];
+      }
       if (noise_.dropout > 0.0 && rng::bernoulli(v.gen, noise_.dropout)) {
-        continue;  // reading lost entirely; no further draws this agent
+        continue;  // reading lost entirely; the round still elapsed
       }
       std::uint64_t others = v.counter.occupancy(v.keys[i]) - 1;
+      if (transforms) {
+        others = model->observe(i, others, v.gen);
+      }
       if (noise_.detection_miss > 0.0) {
         // Each partner is detected independently w.p. 1-p: one binomial
         // draw instead of the legacy per-partner Bernoulli loop.
@@ -265,10 +300,19 @@ class CollisionObserver {
 
   const std::vector<std::uint64_t>& counts() const { return counts_; }
   std::vector<std::uint64_t> take_counts() { return std::move(counts_); }
+  /// Rounds observed by each slot's current incarnation, 0 for a slot
+  /// not alive at the end of the walk.  Empty without a model, where
+  /// every slot observed every round.
+  std::vector<std::uint32_t> take_observed_rounds();
 
  private:
   Noise noise_;
+  const WorldDynamics* model_;
   std::vector<std::uint64_t> counts_;
+  /// Dynamic worlds only (empty otherwise): Algorithm 1's t per slot and
+  /// the birth round of the incarnation it counts.
+  std::vector<std::uint32_t> observed_rounds_;
+  std::vector<std::uint32_t> seen_birth_;
   /// Resolved from ambient telemetry at construction; null when
   /// telemetry is disabled (see walk_engine.cpp).
   obs::Counter* collisions_tap_ = nullptr;

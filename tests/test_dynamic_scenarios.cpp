@@ -247,8 +247,11 @@ TEST(DynamicScenarios, ShardedChurnIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::ChurnDynamics model(topo, /*p_edge=*/0.05, /*p_fail=*/0.02,
                              /*mean_down=*/6, /*seed=*/4);
-    return sim::run_dynamic_density_walk(
-        topo, cfg, model, /*seed=*/21, sim::ShardExec{.threads = threads});
+    sim::DensityConfig dyn_cfg = cfg;
+    dyn_cfg.dynamics = &model;
+    return sim::run_density_walk(topo, dyn_cfg, /*seed=*/21,
+                                 sim::ShardExec{.threads = threads})
+        .estimates();
   };
   const std::vector<double> one = run_with(1);
   EXPECT_EQ(one, run_with(2));
@@ -264,8 +267,11 @@ TEST(DynamicScenarios, ShardedDriftIsBitIdenticalForAnyThreadCount) {
   const auto run_with = [&](unsigned threads) {
     sim::DriftDynamics model(topo, cfg.num_agents, /*p_death=*/0.05,
                              /*p_birth=*/0.08, /*seed=*/2);
-    return sim::run_dynamic_density_walk(
-        topo, cfg, model, /*seed=*/5, sim::ShardExec{.threads = threads});
+    sim::DensityConfig dyn_cfg = cfg;
+    dyn_cfg.dynamics = &model;
+    return sim::run_density_walk(topo, dyn_cfg, /*seed=*/5,
+                                 sim::ShardExec{.threads = threads})
+        .estimates();
   };
   const std::vector<double> one = run_with(1);
   EXPECT_EQ(one, run_with(2));
@@ -285,8 +291,14 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
 
   const std::vector<double> expected =
       sim::run_density_walk(topo, cfg, /*seed=*/13).estimates();
+  const auto dynamic_walk = [&](sim::WorldDynamics& model,
+                                const auto& exec) {
+    sim::DensityConfig dyn_cfg = cfg;
+    dyn_cfg.dynamics = &model;
+    return sim::run_density_walk(topo, dyn_cfg, 13, exec).estimates();
+  };
   sim::ChurnDynamics churn(topo, 0.0, 0.0, 10, 0);
-  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, churn, 13), expected)
+  EXPECT_EQ(dynamic_walk(churn, sim::SingleExec{}), expected)
       << "a dynamic world that never mutates must reproduce the static "
          "stream bit for bit (single engine)";
 
@@ -295,13 +307,12 @@ TEST(DynamicScenarios, ZeroRateChurnEqualsTheStaticWalk) {
                             sim::ShardExec{.threads = 2})
           .estimates();
   sim::ChurnDynamics churn2(topo, 0.0, 0.0, 10, 0);
-  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, churn2, 13,
-                                          sim::ShardExec{.threads = 2}),
+  EXPECT_EQ(dynamic_walk(churn2, sim::ShardExec{.threads = 2}),
             expected_sharded)
       << "and on the sharded engine";
 
   sim::DriftDynamics still(topo, cfg.num_agents, 0.0, 0.0, 0);
-  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, still, 13), expected)
+  EXPECT_EQ(dynamic_walk(still, sim::SingleExec{}), expected)
       << "a drift model with no deaths or births is the static walk";
 }
 

@@ -385,8 +385,8 @@ TEST(Validation, VectorZeroRateChurnEqualsTheStaticVectorWalk) {
   const std::vector<double> expected =
       sim::run_density_walk(topo, cfg, 1, sim::VectorExec{}).estimates();
   sim::ChurnDynamics model(topo, 0.0, 0.0, 10, 1);
-  EXPECT_EQ(sim::run_dynamic_density_walk(topo, cfg, model, 1,
-                                          sim::VectorExec{}),
+  cfg.dynamics = &model;
+  EXPECT_EQ(sim::run_density_walk(topo, cfg, 1, sim::VectorExec{}).estimates(),
             expected);
 }
 
