@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "graph/complete.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
+#include "util/hash.hpp"
+#include "walk/equalization.hpp"
+#include "walk/range.hpp"
+#include "walk/return_time.hpp"
+#include "walk/visits.hpp"
 
 namespace antdense::walk {
 namespace {
@@ -99,6 +107,72 @@ TEST(PairCollisionCounts, MeanGrowsLogarithmically) {
   EXPECT_GT(mean_long, mean_short);
   EXPECT_LT(mean_long, 2.0 * mean_short)
       << "log growth expected, got " << mean_short << " -> " << mean_long;
+}
+
+/// Appends the bytes of every value to `out`, for content hashing.
+void put(std::string& out, std::uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+void put(std::string& out, double v) {
+  put(out, std::bit_cast<std::uint64_t>(v));
+}
+template <typename V>
+void put_all(std::string& out, const std::vector<V>& values) {
+  put(out, static_cast<std::uint64_t>(values.size()));
+  for (const V v : values) put(out, v);
+}
+
+/// Every estimator's full output on one topology.  Trial counts span
+/// more than one block of each estimator's fan-out (4096 / 1024 / 512 /
+/// 256), so a changed block size or seed tag moves the bytes.
+template <graph::Topology T>
+void put_estimators(std::string& out, const T& topo, unsigned threads) {
+  constexpr std::uint64_t kSeed = 0x5EED;
+  const auto recollision =
+      measure_recollision_curve(topo, 12, 8200, kSeed, threads);
+  put_all(out, recollision.probability);
+  put_all(out, recollision.hits);
+  put(out, recollision.trials);
+  put_all(out,
+          pair_collision_counts_given_first(topo, 24, 2500, kSeed, threads));
+  const auto equalization =
+      measure_equalization_curve(topo, 12, 8200, kSeed, threads);
+  put_all(out, equalization.probability);
+  put_all(out, equalization.hits);
+  put(out, equalization.trials);
+  put_all(out, equalization_counts(topo, 24, 2500, kSeed, threads));
+  for (const FirstTimeStats& stats :
+       {measure_first_return(topo, 150, 1300, kSeed, threads),
+        measure_first_meeting(topo, 150, 1300, kSeed, threads)}) {
+    put(out, stats.mean);
+    put(out, stats.censored_fraction);
+    put_all(out, stats.samples);
+  }
+  rng::Xoshiro256pp pick(3);
+  const auto visits =
+      measure_visits(topo, topo.random_node(pick), 40, 2500, kSeed, threads);
+  put(out, visits.p_visit);
+  put(out, visits.mean_visits_given_any);
+  put(out, visits.mean_visits);
+  put_all(out, visits.counts);
+  const auto range = measure_walk_range(topo, 40, 700, kSeed, threads);
+  put(out, range.mean_range);
+  put(out, range.mean_range_fraction);
+  put_all(out, range.samples);
+}
+
+// Pins the exact output of all eight Monte Carlo estimators (the
+// block-seeded trial fan-out: block size, seed tag and in-block order)
+// on three families, for one and for three worker threads.
+TEST(WalkEstimators, OutputsArePinned) {
+  for (const unsigned threads : {1u, 3u}) {
+    SCOPED_TRACE(threads);
+    std::string bytes;
+    put_estimators(bytes, Torus2D(12, 10), threads);
+    put_estimators(bytes, Ring(64), threads);
+    put_estimators(bytes, Hypercube(6), threads);
+    EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "19c2b1742ce92cc6");
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 //     leaving the generator in the identical state (the BulkTopology
 //     bit-stream contract the engines rely on)
 //   - batched keys equals scalar keys
+//   - each family's walk stream is pinned by content hash
 //
 // Families are built through the scenario Registry, so this suite also
 // exercises every registered spec string end to end.
@@ -18,13 +19,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "graph/any_topology.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "scenario/registry.hpp"
+#include "util/hash.hpp"
 
 namespace antdense {
 namespace {
@@ -149,6 +153,40 @@ TEST(TopologyContract, BatchedEqualsSequentialDrawForDraw) {
     EXPECT_EQ(batched, sequential);
     // Identical stream position afterwards: the next raw draw agrees.
     EXPECT_EQ(batched_gen(), sequential_gen());
+  }
+}
+
+// Pins each family's walk stream: 4096 sequential random_neighbor draws
+// from a fixed seed, then the generator's next raw word (so the number
+// of words each step consumes is pinned too).
+TEST(TopologyContract, WalkStreamsArePinned) {
+  const char* const kPinned[] = {
+      "6d055ea17f5544c4",  // torus2d
+      "d084de8a98b55e91",  // ring
+      "fda4c2ff6d717551",  // hypercube
+      "99136bf9e75d66e8",  // toruskd
+      "57df079b5783a761",  // complete
+      "27e244c04ca031f9",  // expander
+      "aa469d652c1690f5",  // rgg2d
+      "4f1aedd451b47710",  // gnp
+      "27be01d1bc08f44c",  // ba
+  };
+  static_assert(std::size(kPinned) == std::size(kFamilies));
+  for (std::size_t f = 0; f < std::size(kFamilies); ++f) {
+    SCOPED_TRACE(kFamilies[f].spec);
+    const graph::AnyTopology topo = build(kFamilies[f]);
+    rng::Xoshiro256pp gen(0x57EA);
+    std::string bytes;
+    const auto put = [&bytes](std::uint64_t v) {
+      bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+    };
+    std::uint64_t u = topo.random_node(gen);
+    for (int i = 0; i < 4096; ++i) {
+      u = topo.random_neighbor(u, gen);
+      put(u);
+    }
+    put(gen());
+    EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), kPinned[f]);
   }
 }
 
