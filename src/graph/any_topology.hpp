@@ -11,7 +11,8 @@
 // type-erased round costs two virtual calls total, not one per agent
 // step (see docs/ARCHITECTURE.md, "The scenario layer").
 //
-// AnyTopology satisfies Topology and BulkTopology, so every templated
+// AnyTopology satisfies Topology, and graph::random_neighbors /
+// graph::node_keys pick up its batched members, so every templated
 // driver (run_density_walk, run_property_walk, run_trajectory,
 // trial_runner) accepts it unchanged, and walks through the handle are
 // bit-identical to walks through the wrapped concrete topology at a
@@ -89,8 +90,8 @@ class AnyTopology {
   }
 
   /// Batched stepping — one virtual call for the whole round, forwarding
-  /// to the wrapped topology's own batched member (same generator stream
-  /// as sequential random_neighbor calls, per the BulkTopology contract).
+  /// to graph::random_neighbors on the wrapped topology (same generator
+  /// stream as sequential random_neighbor calls, the rule stated there).
   /// `out[i]` replaces `in[i]`; the spans may alias elementwise.
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out,
@@ -180,8 +181,8 @@ class AnyTopology {
         graph::random_neighbors(topo, in, out, gen);
       } else {
         // Narrower node handles cannot view the uint64 spans directly;
-        // step elementwise, which the BulkTopology contract guarantees
-        // consumes the generator exactly as the batched member would.
+        // step elementwise, which graph::random_neighbors' sequential-
+        // equivalence rule guarantees consumes the generator identically.
         for (std::size_t i = 0; i < in.size(); ++i) {
           out[i] = static_cast<node_type>(topo.random_neighbor(
               static_cast<wrapped_node>(in[i]), gen));
@@ -248,6 +249,5 @@ class AnyTopology {
 };
 
 static_assert(Topology<AnyTopology>);
-static_assert(BulkTopology<AnyTopology>);
 
 }  // namespace antdense::graph

@@ -117,7 +117,11 @@ class Ba {
     return chosen;
   }
 
-  /// Batched stepping, same generator stream as sequential calls.
+  /// Batched stepping, same generator stream as sequential calls.  The
+  /// body is graph::random_neighbors' own default loop, yet the member
+  /// stays: without it, stepping ba:n=500,d=5 through AnyTopology
+  /// measured about 1.6x slower (~56k -> ~90k ns per step, GCC 12 -O3),
+  /// as the count/draw/select scan gets inlined differently.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
@@ -129,15 +133,6 @@ class Ba {
   }
 
   std::uint64_t key(node_type u) const { return u; }
-
-  void keys(std::span<const node_type> nodes,
-            std::span<std::uint64_t> out) const {
-    ANTDENSE_CHECK(nodes.size() == out.size(),
-                   "key batching needs equal-sized spans");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = nodes[i];
-    }
-  }
 
   /// Enumerates u's neighbor multiset in a fixed deterministic order:
   /// first the targets of u's own d edges (ascending edge id), then the
@@ -166,6 +161,5 @@ class Ba {
 };
 
 static_assert(Topology<Ba>);
-static_assert(BulkTopology<Ba>);
 
 }  // namespace antdense::graph

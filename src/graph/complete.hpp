@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/topology.hpp"
@@ -33,22 +32,7 @@ class CompleteGraph {
   /// Uniform over the A-1 nodes other than u.
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const std::uint64_t r = rng::uniform_below(gen, size_ - 1);
-    return r >= u ? r + 1 : r;
-  }
-
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls.  `out[i]` replaces `in[i]`; the spans may
-  /// alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::uint64_t r = rng::uniform_below(gen, size_ - 1);
-      out[i] = r >= in[i] ? r + 1 : r;
-    }
+    return pick_step(u, rng::uniform_below(gen, pick_bound()));
   }
 
   /// UniformPickTopology factoring of random_neighbor: pick among the
@@ -76,7 +60,6 @@ class CompleteGraph {
 };
 
 static_assert(Topology<CompleteGraph>);
-static_assert(BulkTopology<CompleteGraph>);
 static_assert(UniformPickTopology<CompleteGraph>);
 
 }  // namespace antdense::graph

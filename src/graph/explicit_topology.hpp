@@ -12,7 +12,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -60,24 +59,7 @@ class ExplicitTopology {
 
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const auto i = static_cast<std::uint32_t>(
-        rng::uniform_below(gen, graph_->degree(u)));
-    return graph_->neighbor(u, i);
-  }
-
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls.  `out[i]` replaces `in[i]`; the spans may
-  /// alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const auto pick = static_cast<std::uint32_t>(
-          rng::uniform_below(gen, graph_->degree(in[i])));
-      out[i] = graph_->neighbor(in[i], pick);
-    }
+    return pick_step(u, rng::uniform_below(gen, pick_bound(u)));
   }
 
   /// VariablePickTopology factoring of random_neighbor: pick below the
@@ -113,7 +95,6 @@ class ExplicitTopology {
 };
 
 static_assert(Topology<ExplicitTopology>);
-static_assert(BulkTopology<ExplicitTopology>);
 static_assert(VariablePickTopology<ExplicitTopology>);
 
 }  // namespace antdense::graph

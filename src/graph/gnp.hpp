@@ -26,7 +26,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/implicit_hash.hpp"
@@ -111,27 +110,7 @@ class Gnp {
     return chosen;
   }
 
-  /// Batched stepping, same generator stream as sequential calls.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen);
-    }
-  }
-
   std::uint64_t key(node_type u) const { return u; }
-
-  void keys(std::span<const node_type> nodes,
-            std::span<std::uint64_t> out) const {
-    ANTDENSE_CHECK(nodes.size() == out.size(),
-                   "key batching needs equal-sized spans");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = nodes[i];
-    }
-  }
 
   /// Enumerates N(u) in ascending node order.
   template <typename Fn>
@@ -157,6 +136,5 @@ class Gnp {
 };
 
 static_assert(Topology<Gnp>);
-static_assert(BulkTopology<Gnp>);
 
 }  // namespace antdense::graph

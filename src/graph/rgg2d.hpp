@@ -37,7 +37,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/implicit_hash.hpp"
@@ -142,29 +141,7 @@ class Rgg2D {
     return chosen;
   }
 
-  /// Batched stepping: same generator stream as sequential
-  /// random_neighbor calls (the BulkTopology contract).  The spans may
-  /// alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen);
-    }
-  }
-
   std::uint64_t key(node_type u) const { return u; }
-
-  void keys(std::span<const node_type> nodes,
-            std::span<std::uint64_t> out) const {
-    ANTDENSE_CHECK(nodes.size() == out.size(),
-                   "key batching needs equal-sized spans");
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      out[i] = nodes[i];
-    }
-  }
 
   /// Enumerates N(u) in a fixed deterministic order (cell-major over the
   /// candidate window).  O(reach^2) candidate cells = O(expected degree)
@@ -246,6 +223,5 @@ class Rgg2D {
 };
 
 static_assert(Topology<Rgg2D>);
-static_assert(BulkTopology<Rgg2D>);
 
 }  // namespace antdense::graph

@@ -75,6 +75,5 @@ class Ring {
 };
 
 static_assert(Topology<Ring>);
-static_assert(BulkTopology<Ring>);
 
 }  // namespace antdense::graph

@@ -47,18 +47,6 @@ concept Topology = requires(const T& t, const typename T::node_type& u,
   { t.name() } -> std::convertible_to<std::string>;
 };
 
-/// A topology with a batched neighbor-sampling member.  The member must
-/// consume the generator exactly as in.size() sequential random_neighbor
-/// calls would (same draws, same order), so batched and per-agent
-/// stepping are interchangeable bit-for-bit at a fixed seed.
-template <typename T>
-concept BulkTopology =
-    Topology<T> &&
-    requires(const T& t, std::span<const typename T::node_type> in,
-             std::span<typename T::node_type> out, rng::Xoshiro256pp& g) {
-      { t.random_neighbors(in, out, g) } -> std::same_as<void>;
-    };
-
 /// A topology whose neighbor draw factors into "uniform pick below a
 /// node-independent bound, then a pure function of (node, pick)".  The
 /// contract, relied on by the vector engine's batched Lemire stepping:
@@ -111,10 +99,17 @@ inline void blocked_random_neighbors(std::span<const Node> in,
 
 /// Samples one neighbor for every node in `in`, writing to `out`
 /// (`out[i]` replaces `in[i]`; the spans may alias elementwise, so
-/// stepping a position array in place is fine).  Dispatches to the
-/// topology's batched member when it has one, else falls back to
-/// sequential random_neighbor calls — the generator stream is identical
-/// either way.
+/// stepping a position array in place is fine).
+///
+/// The sequential-equivalence rule every batched step obeys: the result
+/// and the generator's state afterwards are exactly those of in.size()
+/// sequential `out[i] = topo.random_neighbor(in[i], gen)` calls (same
+/// draws, same order), so batched and per-agent stepping are
+/// interchangeable bit-for-bit at a fixed seed.  That loop is the
+/// default; a topology adds a `random_neighbors(in, out, gen)` member
+/// only when it does something the loop cannot: raw-word kernels for
+/// torus2d and ring, one virtual call per round for AnyTopology, and a
+/// ba member that inlines its neighbor scan better (see ba.hpp).
 template <Topology T, rng::BitGenerator64 G>
 inline void random_neighbors(const T& topo,
                              std::span<const typename T::node_type> in,
@@ -132,9 +127,9 @@ inline void random_neighbors(const T& topo,
 
 /// Computes `out[i] = topo.key(nodes[i])` for every node, dispatching to
 /// a batched `keys` member when the topology has one.  Concrete
-/// topologies inline the per-node loop; type-erased handles
-/// (graph::AnyTopology) override the batched member so occupancy
-/// counting costs one virtual call per round, not one per agent.
+/// topologies inline the per-node loop; only the type-erased handle
+/// (graph::AnyTopology) has the member, so occupancy counting costs one
+/// virtual call per round, not one per agent.
 template <Topology T>
 inline void node_keys(const T& topo,
                       std::span<const typename T::node_type> nodes,

@@ -147,6 +147,5 @@ class Torus2D {
 };
 
 static_assert(Topology<Torus2D>);
-static_assert(BulkTopology<Torus2D>);
 
 }  // namespace antdense::graph

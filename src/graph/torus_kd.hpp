@@ -9,7 +9,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -71,26 +70,7 @@ class TorusKD {
 
   template <rng::BitGenerator64 G>
   node_type random_neighbor(node_type u, G& gen) const {
-    const std::uint64_t pick = rng::uniform_below(gen, 2ULL * k_);
-    const auto dim = static_cast<std::uint32_t>(pick >> 1);
-    const bool forward = (pick & 1) != 0;
-    return step(u, dim, forward);
-  }
-
-  /// Batched stepping, same generator stream as sequential
-  /// random_neighbor calls (the 2k-way direction draw keeps Lemire
-  /// rejection, so raw words cannot be prefetched).  `out[i]` replaces
-  /// `in[i]`; the spans may alias elementwise.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      const std::uint64_t pick = rng::uniform_below(gen, 2ULL * k_);
-      out[i] = step(in[i], static_cast<std::uint32_t>(pick >> 1),
-                    (pick & 1) != 0);
-    }
+    return pick_step(u, rng::uniform_below(gen, pick_bound()));
   }
 
   /// UniformPickTopology factoring of random_neighbor: a 2k-way pick
@@ -142,7 +122,6 @@ class TorusKD {
 };
 
 static_assert(Topology<TorusKD>);
-static_assert(BulkTopology<TorusKD>);
 static_assert(UniformPickTopology<TorusKD>);
 
 }  // namespace antdense::graph

@@ -19,8 +19,8 @@
 //   - variable-pick families (explicit CSR graphs) batch per-node-bound
 //     Lemire the same way;
 //   - everything else (implicit rgg2d/gnp/ba, whose neighbor queries
-//     dominate anyway) falls back to the topology's own bulk sampler
-//     with the stream as an ordinary BitGenerator64.
+//     dominate anyway) falls back to graph::random_neighbors with the
+//     stream as an ordinary BitGenerator64.
 //
 // Because the contract is sequential-equivalent, which lane/kernel/batch
 // path executed is unobservable in the results — pinned differentially
@@ -208,7 +208,7 @@ inline void vector_step(const T& topo,
     }
   } else {
     // Implicit families: the per-query adjacency scan dominates, so the
-    // bulk sampler with the stream as a plain BitGenerator64 is already
+    // batched sampler with the stream as a plain BitGenerator64 is already
     // the honest cost.
     graph::random_neighbors(topo, std::span<const node>(pos), pos, stream);
   }

@@ -62,7 +62,6 @@ void expect_identical_walks(const T& topo) {
 
 TEST(AnyTopology, SatisfiesTopologyConcepts) {
   static_assert(graph::Topology<graph::AnyTopology>);
-  static_assert(graph::BulkTopology<graph::AnyTopology>);
 }
 
 TEST(AnyTopology, MatchesTorus2D) {

@@ -8,8 +8,9 @@
 //     append_neighbors)
 //   - a fixed seed fixes the walk (determinism)
 //   - batched random_neighbors equals sequential calls draw-for-draw,
-//     leaving the generator in the identical state (the BulkTopology
-//     bit-stream contract the engines rely on)
+//     leaving the generator in the identical state (the
+//     sequential-equivalence rule of graph::random_neighbors that the
+//     engines rely on)
 //   - batched keys equals scalar keys
 //   - each family's walk stream is pinned by content hash
 //
