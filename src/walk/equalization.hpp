@@ -12,18 +12,13 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "util/parallel.hpp"
+#include "walk/trials.hpp"
 
 namespace antdense::walk {
 
-struct EqualizationCurve {
-  /// probability[m] = empirical P[walk is at its origin after m steps].
-  std::vector<double> probability;
-  std::vector<std::uint64_t> hits;
-  std::uint64_t trials = 0;
-};
+/// probability[m] = empirical P[walk is at its origin after m steps].
+using EqualizationCurve = HitCurve;
 
 /// Measures the equalization probability at every m <= m_max.
 template <graph::Topology T>
@@ -32,48 +27,20 @@ EqualizationCurve measure_equalization_curve(const T& topo,
                                              std::uint64_t trials,
                                              std::uint64_t seed,
                                              unsigned threads = 0) {
-  constexpr std::uint64_t kBlock = 4096;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  std::vector<std::vector<std::uint64_t>> block_hits(
-      num_blocks, std::vector<std::uint64_t>(m_max + 1, 0));
-
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xE0AAu));
-        auto& hits = block_hits[block];
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          const typename T::node_type origin = topo.random_node(gen);
-          const std::uint64_t origin_key = topo.key(origin);
-          typename T::node_type u = origin;
-          ++hits[0];
-          for (std::uint32_t m = 1; m <= m_max; ++m) {
-            u = topo.random_neighbor(u, gen);
-            if (topo.key(u) == origin_key) {
-              ++hits[m];
-            }
+  return measure_hit_curve(
+      m_max, trials, 4096, seed, 0xE0AAu, threads,
+      [&](rng::Xoshiro256pp& gen, std::vector<std::uint64_t>& hits) {
+        const typename T::node_type origin = topo.random_node(gen);
+        const std::uint64_t origin_key = topo.key(origin);
+        typename T::node_type u = origin;
+        ++hits[0];
+        for (std::uint32_t m = 1; m <= m_max; ++m) {
+          u = topo.random_neighbor(u, gen);
+          if (topo.key(u) == origin_key) {
+            ++hits[m];
           }
         }
-      },
-      threads);
-
-  EqualizationCurve out;
-  out.trials = trials;
-  out.hits.assign(m_max + 1, 0);
-  for (const auto& hits : block_hits) {
-    for (std::uint32_t m = 0; m <= m_max; ++m) {
-      out.hits[m] += hits[m];
-    }
-  }
-  out.probability.reserve(m_max + 1);
-  for (std::uint32_t m = 0; m <= m_max; ++m) {
-    out.probability.push_back(static_cast<double>(out.hits[m]) /
-                              static_cast<double>(trials));
-  }
-  return out;
+      });
 }
 
 /// Samples the number of equalizations (returns to origin) of a t-step
@@ -83,32 +50,20 @@ std::vector<double> equalization_counts(const T& topo, std::uint32_t t,
                                         std::uint64_t trials,
                                         std::uint64_t seed,
                                         unsigned threads = 0) {
-  std::vector<double> counts(trials, 0.0);
-  constexpr std::uint64_t kBlock = 1024;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xE0BBu));
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          const typename T::node_type origin = topo.random_node(gen);
-          const std::uint64_t origin_key = topo.key(origin);
-          typename T::node_type u = origin;
-          std::uint64_t c = 0;
-          for (std::uint32_t m = 1; m <= t; ++m) {
-            u = topo.random_neighbor(u, gen);
-            if (topo.key(u) == origin_key) {
-              ++c;
-            }
+  return sample_trials(
+      trials, 1024, seed, 0xE0BBu, threads, [&](rng::Xoshiro256pp& gen) {
+        const typename T::node_type origin = topo.random_node(gen);
+        const std::uint64_t origin_key = topo.key(origin);
+        typename T::node_type u = origin;
+        std::uint64_t c = 0;
+        for (std::uint32_t m = 1; m <= t; ++m) {
+          u = topo.random_neighbor(u, gen);
+          if (topo.key(u) == origin_key) {
+            ++c;
           }
-          counts[trial] = static_cast<double>(c);
         }
-      },
-      threads);
-  return counts;
+        return static_cast<double>(c);
+      });
 }
 
 }  // namespace antdense::walk

@@ -11,9 +11,8 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "util/parallel.hpp"
+#include "walk/trials.hpp"
 
 namespace antdense::walk {
 
@@ -29,30 +28,23 @@ template <graph::Topology T>
 RangeStats measure_walk_range(const T& topo, std::uint32_t t,
                               std::uint64_t trials, std::uint64_t seed,
                               unsigned threads = 0) {
-  std::vector<double> samples(trials, 0.0);
-  constexpr std::uint64_t kBlock = 256;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0x4A46u));
+  std::vector<double> samples = sample_trials(
+      trials, 256, seed, 0x4A46u, threads,
+      [t](std::size_t) {
         std::unordered_set<std::uint64_t> visited;
         visited.reserve(static_cast<std::size_t>(t) * 2);
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          visited.clear();
-          auto u = topo.random_node(gen);
-          visited.insert(topo.key(u));
-          for (std::uint32_t s = 0; s < t; ++s) {
-            u = topo.random_neighbor(u, gen);
-            visited.insert(topo.key(u));
-          }
-          samples[trial] = static_cast<double>(visited.size());
-        }
+        return visited;
       },
-      threads);
+      [&](rng::Xoshiro256pp& gen, std::unordered_set<std::uint64_t>& visited) {
+        visited.clear();
+        auto u = topo.random_node(gen);
+        visited.insert(topo.key(u));
+        for (std::uint32_t s = 0; s < t; ++s) {
+          u = topo.random_neighbor(u, gen);
+          visited.insert(topo.key(u));
+        }
+        return static_cast<double>(visited.size());
+      });
 
   RangeStats out;
   double total = 0.0;

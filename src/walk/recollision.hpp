@@ -15,21 +15,14 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "util/parallel.hpp"
+#include "walk/trials.hpp"
 
 namespace antdense::walk {
 
-struct RecollisionCurve {
-  /// probability[m] = empirical P[walkers coincide at round m];
-  /// probability[0] == 1 by construction.
-  std::vector<double> probability;
-  std::uint64_t trials = 0;
-
-  /// Raw hit counts, for exact binomial confidence intervals.
-  std::vector<std::uint64_t> hits;
-};
+/// probability[m] = empirical P[walkers coincide at round m];
+/// probability[0] == 1 by construction.
+using RecollisionCurve = HitCurve;
 
 /// Measures the re-collision curve with `trials` independent pairs.
 /// Deterministic in `seed` for any thread count.
@@ -38,48 +31,20 @@ RecollisionCurve measure_recollision_curve(const T& topo, std::uint32_t m_max,
                                            std::uint64_t trials,
                                            std::uint64_t seed,
                                            unsigned threads = 0) {
-  constexpr std::uint64_t kBlock = 4096;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  std::vector<std::vector<std::uint64_t>> block_hits(
-      num_blocks, std::vector<std::uint64_t>(m_max + 1, 0));
-
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xC0DEu));
-        auto& hits = block_hits[block];
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          typename T::node_type a = topo.random_node(gen);
-          typename T::node_type b = a;
-          ++hits[0];
-          for (std::uint32_t m = 1; m <= m_max; ++m) {
-            a = topo.random_neighbor(a, gen);
-            b = topo.random_neighbor(b, gen);
-            if (topo.key(a) == topo.key(b)) {
-              ++hits[m];
-            }
+  return measure_hit_curve(
+      m_max, trials, 4096, seed, 0xC0DEu, threads,
+      [&](rng::Xoshiro256pp& gen, std::vector<std::uint64_t>& hits) {
+        typename T::node_type a = topo.random_node(gen);
+        typename T::node_type b = a;
+        ++hits[0];
+        for (std::uint32_t m = 1; m <= m_max; ++m) {
+          a = topo.random_neighbor(a, gen);
+          b = topo.random_neighbor(b, gen);
+          if (topo.key(a) == topo.key(b)) {
+            ++hits[m];
           }
         }
-      },
-      threads);
-
-  RecollisionCurve out;
-  out.trials = trials;
-  out.hits.assign(m_max + 1, 0);
-  for (const auto& hits : block_hits) {
-    for (std::uint32_t m = 0; m <= m_max; ++m) {
-      out.hits[m] += hits[m];
-    }
-  }
-  out.probability.reserve(m_max + 1);
-  for (std::uint32_t m = 0; m <= m_max; ++m) {
-    out.probability.push_back(static_cast<double>(out.hits[m]) /
-                              static_cast<double>(trials));
-  }
-  return out;
+      });
 }
 
 /// Samples the pair collision count over rounds 1..t conditioned on a
@@ -92,32 +57,20 @@ std::vector<double> pair_collision_counts_given_first(const T& topo,
                                                       std::uint64_t trials,
                                                       std::uint64_t seed,
                                                       unsigned threads = 0) {
-  std::vector<double> counts(trials, 0.0);
-  constexpr std::uint64_t kBlock = 1024;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xC011u));
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          typename T::node_type a = topo.random_node(gen);
-          typename T::node_type b = a;
-          std::uint64_t c = 0;
-          for (std::uint32_t m = 1; m <= t; ++m) {
-            a = topo.random_neighbor(a, gen);
-            b = topo.random_neighbor(b, gen);
-            if (topo.key(a) == topo.key(b)) {
-              ++c;
-            }
+  return sample_trials(
+      trials, 1024, seed, 0xC011u, threads, [&](rng::Xoshiro256pp& gen) {
+        typename T::node_type a = topo.random_node(gen);
+        typename T::node_type b = a;
+        std::uint64_t c = 0;
+        for (std::uint32_t m = 1; m <= t; ++m) {
+          a = topo.random_neighbor(a, gen);
+          b = topo.random_neighbor(b, gen);
+          if (topo.key(a) == topo.key(b)) {
+            ++c;
           }
-          counts[trial] = static_cast<double>(c);
         }
-      },
-      threads);
-  return counts;
+        return static_cast<double>(c);
+      });
 }
 
 }  // namespace antdense::walk

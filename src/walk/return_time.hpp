@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "util/parallel.hpp"
+#include "walk/trials.hpp"
 
 namespace antdense::walk {
 
@@ -22,6 +21,27 @@ struct FirstTimeStats {
   double mean = 0.0;
   double censored_fraction = 0.0;  // trials that never hit within the cap
   std::vector<double> samples;     // uncensored samples only
+
+  /// Summarizes one first time per trial, -1 marking a censored trial.
+  static FirstTimeStats from_results(const std::vector<double>& results) {
+    FirstTimeStats out;
+    std::uint64_t censored = 0;
+    double total = 0.0;
+    for (double r : results) {
+      if (r < 0.0) {
+        ++censored;
+      } else {
+        total += r;
+        out.samples.push_back(r);
+      }
+    }
+    out.censored_fraction = static_cast<double>(censored) /
+                            static_cast<double>(results.size());
+    out.mean = out.samples.empty()
+                   ? 0.0
+                   : total / static_cast<double>(out.samples.size());
+    return out;
+  }
 };
 
 /// First return time to the start node (walk launched from a uniform
@@ -31,48 +51,19 @@ template <graph::Topology T>
 FirstTimeStats measure_first_return(const T& topo, std::uint32_t max_steps,
                                     std::uint64_t trials, std::uint64_t seed,
                                     unsigned threads = 0) {
-  std::vector<double> results(trials, -1.0);
-  constexpr std::uint64_t kBlock = 512;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xF157u));
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          const auto origin = topo.random_node(gen);
-          const std::uint64_t origin_key = topo.key(origin);
-          auto u = origin;
-          for (std::uint32_t m = 1; m <= max_steps; ++m) {
-            u = topo.random_neighbor(u, gen);
-            if (topo.key(u) == origin_key) {
-              results[trial] = static_cast<double>(m);
-              break;
-            }
+  return FirstTimeStats::from_results(sample_trials(
+      trials, 512, seed, 0xF157u, threads, [&](rng::Xoshiro256pp& gen) {
+        const auto origin = topo.random_node(gen);
+        const std::uint64_t origin_key = topo.key(origin);
+        auto u = origin;
+        for (std::uint32_t m = 1; m <= max_steps; ++m) {
+          u = topo.random_neighbor(u, gen);
+          if (topo.key(u) == origin_key) {
+            return static_cast<double>(m);
           }
         }
-      },
-      threads);
-
-  FirstTimeStats out;
-  std::uint64_t censored = 0;
-  double total = 0.0;
-  for (double r : results) {
-    if (r < 0.0) {
-      ++censored;
-    } else {
-      total += r;
-      out.samples.push_back(r);
-    }
-  }
-  out.censored_fraction =
-      static_cast<double>(censored) / static_cast<double>(trials);
-  out.mean = out.samples.empty()
-                 ? 0.0
-                 : total / static_cast<double>(out.samples.size());
-  return out;
+        return -1.0;
+      }));
 }
 
 /// First meeting time of two walkers launched from independent uniform
@@ -81,52 +72,22 @@ template <graph::Topology T>
 FirstTimeStats measure_first_meeting(const T& topo, std::uint32_t max_steps,
                                      std::uint64_t trials, std::uint64_t seed,
                                      unsigned threads = 0) {
-  std::vector<double> results(trials, -1.0);
-  constexpr std::uint64_t kBlock = 512;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0xF2EEu));
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          auto a = topo.random_node(gen);
-          auto b = topo.random_node(gen);
+  return FirstTimeStats::from_results(sample_trials(
+      trials, 512, seed, 0xF2EEu, threads, [&](rng::Xoshiro256pp& gen) {
+        auto a = topo.random_node(gen);
+        auto b = topo.random_node(gen);
+        if (topo.key(a) == topo.key(b)) {
+          return 0.0;
+        }
+        for (std::uint32_t m = 1; m <= max_steps; ++m) {
+          a = topo.random_neighbor(a, gen);
+          b = topo.random_neighbor(b, gen);
           if (topo.key(a) == topo.key(b)) {
-            results[trial] = 0.0;
-            continue;
-          }
-          for (std::uint32_t m = 1; m <= max_steps; ++m) {
-            a = topo.random_neighbor(a, gen);
-            b = topo.random_neighbor(b, gen);
-            if (topo.key(a) == topo.key(b)) {
-              results[trial] = static_cast<double>(m);
-              break;
-            }
+            return static_cast<double>(m);
           }
         }
-      },
-      threads);
-
-  FirstTimeStats out;
-  std::uint64_t censored = 0;
-  double total = 0.0;
-  for (double r : results) {
-    if (r < 0.0) {
-      ++censored;
-    } else {
-      total += r;
-      out.samples.push_back(r);
-    }
-  }
-  out.censored_fraction =
-      static_cast<double>(censored) / static_cast<double>(trials);
-  out.mean = out.samples.empty()
-                 ? 0.0
-                 : total / static_cast<double>(out.samples.size());
-  return out;
+        return -1.0;
+      }));
 }
 
 }  // namespace antdense::walk

@@ -12,9 +12,8 @@
 #include <vector>
 
 #include "graph/topology.hpp"
-#include "rng/splitmix64.hpp"
 #include "rng/xoshiro256pp.hpp"
-#include "util/parallel.hpp"
+#include "walk/trials.hpp"
 
 namespace antdense::walk {
 
@@ -31,30 +30,19 @@ template <graph::Topology T>
 VisitStats measure_visits(const T& topo, typename T::node_type target,
                           std::uint32_t t, std::uint64_t trials,
                           std::uint64_t seed, unsigned threads = 0) {
-  std::vector<double> counts(trials, 0.0);
-  constexpr std::uint64_t kBlock = 1024;
-  const std::uint64_t num_blocks = (trials + kBlock - 1) / kBlock;
   const std::uint64_t target_key = topo.key(target);
-  util::parallel_for(
-      num_blocks,
-      [&](std::size_t block) {
-        rng::Xoshiro256pp gen(rng::derive_seed(seed, block, 0x1717u));
-        const std::uint64_t begin = block * kBlock;
-        const std::uint64_t end =
-            begin + kBlock < trials ? begin + kBlock : trials;
-        for (std::uint64_t trial = begin; trial < end; ++trial) {
-          typename T::node_type u = topo.random_node(gen);
-          std::uint64_t c = topo.key(u) == target_key ? 1 : 0;
-          for (std::uint32_t m = 1; m <= t; ++m) {
-            u = topo.random_neighbor(u, gen);
-            if (topo.key(u) == target_key) {
-              ++c;
-            }
+  std::vector<double> counts = sample_trials(
+      trials, 1024, seed, 0x1717u, threads, [&](rng::Xoshiro256pp& gen) {
+        typename T::node_type u = topo.random_node(gen);
+        std::uint64_t c = topo.key(u) == target_key ? 1 : 0;
+        for (std::uint32_t m = 1; m <= t; ++m) {
+          u = topo.random_neighbor(u, gen);
+          if (topo.key(u) == target_key) {
+            ++c;
           }
-          counts[trial] = static_cast<double>(c);
         }
-      },
-      threads);
+        return static_cast<double>(c);
+      });
 
   VisitStats out;
   std::uint64_t visited = 0;
