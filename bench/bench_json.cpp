@@ -70,7 +70,33 @@ std::uint64_t peak_rss_bytes() {
 #endif
 }
 
+namespace {
+
+/// The first "model name" of /proc/cpuinfo, else "unknown".
+std::string cpu_model() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const std::size_t colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos) {
+      const std::size_t begin = line.find_first_not_of(" \t", colon + 1);
+      if (begin != std::string::npos) {
+        return line.substr(begin);
+      }
+    }
+  }
+  return "unknown";
+}
+
+#if defined(__AVX2__)
+constexpr const char* kSimdPath = "avx2";
+#else
+constexpr const char* kSimdPath = "portable";
+#endif
+
+}  // namespace
+
 std::string to_json(const std::vector<BenchRecord>& records) {
+  const std::string cpu = cpu_model();
   util::JsonValue doc = util::JsonValue::array();
   for (const BenchRecord& r : records) {
     ANTDENSE_CHECK(std::isfinite(r.ns_per_agent_round),
@@ -90,6 +116,8 @@ std::string to_json(const std::vector<BenchRecord>& records) {
     if (r.peak_rss_bytes != 0) {
       rec.set("peak_rss_bytes", r.peak_rss_bytes);
     }
+    rec.set("cpu_model", cpu);
+    rec.set("simd_path", kSimdPath);
     doc.push_back(std::move(rec));
   }
   return doc.dump() + "\n";

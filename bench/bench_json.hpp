@@ -10,7 +10,11 @@
 //     "ns_per_agent_round": float,
 //     "threads": int,              // optional: worker threads used
 //     "hardware_threads": int,     // optional: cores on the bench host
-//     "peak_rss_bytes": int }      // optional: process high-water RSS
+//     "peak_rss_bytes": int,       // optional: process high-water RSS
+//     "cpu_model": str,            // the host CPU: /proc/cpuinfo's first
+//                                  //   "model name", else "unknown"
+//     "simd_path": str }           // "avx2" when built with __AVX2__
+//                                  //   (-DANTDENSE_AVX2=ON), else "portable"
 //
 // The optional fields (emitted only when a bench sets them nonzero)
 // let multi-threaded benches like bench_shard record how wide they ran
@@ -18,6 +22,8 @@
 // or a 1-core container is meaningless without them — and let benches
 // over implicit topologies record the resident-set high-water mark, the
 // number that proves an O(agents)-memory substrate stayed that way.
+// cpu_model and simd_path are stamped on every record, so an artifact
+// says which machine and which kernel build its timings came from.
 // peak_rss_bytes is the resident-set high-water mark since the bench
 // last called reset_peak_rss() — per cell on Linux, where VmHWM can be
 // reset; elsewhere it is the getrusage lifetime mark, monotone across
@@ -76,7 +82,8 @@ void reset_peak_rss();
 /// cannot report it.
 std::uint64_t peak_rss_bytes();
 
-/// Serializes the records as a pretty-printed JSON array.  Throws
+/// Serializes the records as a pretty-printed JSON array, stamping each
+/// with the host's cpu_model and simd_path (see the schema).  Throws
 /// std::invalid_argument on non-finite timings (never emits NaN/Inf).
 std::string to_json(const std::vector<BenchRecord>& records);
 
