@@ -118,10 +118,12 @@ class Ba {
   }
 
   /// Batched stepping, same generator stream as sequential calls.  The
-  /// body is graph::random_neighbors' own default loop, yet the member
-  /// stays: without it, stepping ba:n=500,d=5 through AnyTopology
-  /// measured about 1.6x slower (~56k -> ~90k ns per step, GCC 12 -O3),
-  /// as the count/draw/select scan gets inlined differently.
+  /// body is graph::random_neighbors' own default loop.  It is kept
+  /// because stepping ba:n=500,d=5 through AnyTopology has measured
+  /// about 1.6x apart (~56k vs ~90k ns per step, GCC 12 -O3) between
+  /// builds with and without it.  GCC emits the same instructions either
+  /// way and the gap follows where the linker places them, so deleting
+  /// the member needs a placement-independent measurement first.
   template <rng::BitGenerator64 G>
   void random_neighbors(std::span<const node_type> in,
                         std::span<node_type> out, G& gen) const {
