@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/implicit_hash.hpp"
@@ -115,23 +114,6 @@ class Ba {
       ++index;
     });
     return chosen;
-  }
-
-  /// Batched stepping, same generator stream as sequential calls.  The
-  /// body is graph::random_neighbors' own default loop.  It is kept
-  /// because stepping ba:n=500,d=5 through AnyTopology has measured
-  /// about 1.6x apart (~56k vs ~90k ns per step, GCC 12 -O3) between
-  /// builds with and without it.  GCC emits the same instructions either
-  /// way and the gap follows where the linker places them, so deleting
-  /// the member needs a placement-independent measurement first.
-  template <rng::BitGenerator64 G>
-  void random_neighbors(std::span<const node_type> in,
-                        std::span<node_type> out, G& gen) const {
-    ANTDENSE_CHECK(in.size() == out.size(),
-                   "bulk neighbor sampling needs equal-sized spans");
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      out[i] = random_neighbor(in[i], gen);
-    }
   }
 
   std::uint64_t key(node_type u) const { return u; }

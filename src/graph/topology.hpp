@@ -108,8 +108,7 @@ inline void blocked_random_neighbors(std::span<const Node> in,
 /// interchangeable bit-for-bit at a fixed seed.  That loop is the
 /// default; a topology adds a `random_neighbors(in, out, gen)` member
 /// only when it does something the loop cannot: raw-word kernels for
-/// torus2d and ring, one virtual call per round for AnyTopology.  (Ba
-/// keeps a copy of the loop; ba.hpp says why.)
+/// torus2d and ring, one virtual call per round for AnyTopology.
 template <Topology T, rng::BitGenerator64 G>
 inline void random_neighbors(const T& topo,
                              std::span<const typename T::node_type> in,
