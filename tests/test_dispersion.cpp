@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "graph/torus2d.hpp"
+#include "util/hash.hpp"
 
 namespace antdense::swarm {
 namespace {
@@ -63,6 +67,32 @@ TEST(Dispersion, FractionsAreProbabilities) {
     EXPECT_LE(epoch.fraction_overcrowded, 1.0);
     EXPECT_GE(epoch.spread_ratio, 0.0);
   }
+}
+
+// Pins the one generator (derive_seed(seed, 0xD15C)) that draws the
+// clustered placement, every epoch's single and double steps and each
+// epoch's spread sample, through every epoch's statistics.
+TEST(Dispersion, OutputsArePinned) {
+  std::string bytes;
+  const auto row = [&](const Torus2D& torus, const DispersionConfig& cfg,
+                       std::uint64_t seed) {
+    for (const auto& epoch : run_dispersion(torus, cfg, seed).epochs) {
+      for (const double v : {epoch.mean_density_estimate,
+                             epoch.fraction_overcrowded,
+                             epoch.spread_ratio}) {
+        const auto bits = std::bit_cast<std::uint64_t>(v);
+        bytes.append(reinterpret_cast<const char*>(&bits), sizeof bits);
+      }
+    }
+  };
+  row(Torus2D(64, 64), basic_config(), 1);
+  row(Torus2D(64, 64), basic_config(), 7);
+  DispersionConfig dense = basic_config();
+  dense.num_agents = 300;
+  dense.epochs = 4;
+  dense.initial_patch_side = 4;
+  row(Torus2D(48, 32), dense, 99);
+  EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "3449d84bfab697bc");
 }
 
 }  // namespace

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "graph/hypercube.hpp"
+#include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
 #include "stats/accumulator.hpp"
+#include "util/hash.hpp"
 
 namespace antdense::core {
 namespace {
 
+using graph::Hypercube;
+using graph::Ring;
 using graph::Torus2D;
 
 SequentialQuorumConfig basic_config() {
@@ -111,6 +119,46 @@ TEST(SequentialQuorum, BudgetDefaultsToTheoremOne) {
   const auto expected = static_cast<std::uint32_t>(std::min<std::uint64_t>(
       detector.required_rounds(), torus.num_nodes()));
   EXPECT_EQ(r.budget, expected);
+}
+
+/// Appends the bytes of `v` to `out`, for content hashing.
+template <typename V>
+void put(std::string& out, V v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+void put_result(std::string& out, const SequentialQuorumResult& r) {
+  put(out, r.budget);
+  put(out, static_cast<std::uint64_t>(r.decisions.size()));
+  for (std::size_t i = 0; i < r.decisions.size(); ++i) {
+    put(out, static_cast<std::uint8_t>(r.decisions[i]));
+    put(out, r.decision_round[i]);
+  }
+}
+
+// Pins the walk stream (derive_seed(seed, 0x5EB): placement, then every
+// step, agent by agent), the check cadence and the stop rule through
+// every agent's decision and decision round.  The rows cover an early
+// stop on both sides of the band and a run to the budget fallback.
+TEST(SequentialQuorum, OutputsArePinned) {
+  SequentialQuorumConfig capped = basic_config();
+  capped.max_rounds = 1024;
+  std::string bytes;
+  const auto row = [&](const auto& topo, std::uint32_t agents,
+                       const SequentialQuorumConfig& cfg, std::uint64_t seed,
+                       bool stops_early) {
+    const auto r = run_sequential_quorum(topo, agents, cfg, seed);
+    const std::uint32_t last = *std::max_element(r.decision_round.begin(),
+                                                  r.decision_round.end());
+    EXPECT_EQ(last < r.budget, stops_early) << agents << " agents";
+    put_result(bytes, r);
+  };
+  row(Torus2D(32, 32), 16, basic_config(), 1, true);
+  row(Torus2D(32, 32), 257, basic_config(), 2, true);
+  row(Torus2D(32, 32), 90, capped, 3, false);
+  row(Ring(1024), 90, capped, 7, false);
+  row(Hypercube(10), 500, capped, 99, true);
+  EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "9f39772b9f91b136");
 }
 
 }  // namespace
