@@ -18,14 +18,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "core/confidence.hpp"
 #include "core/quorum.hpp"
 #include "graph/topology.hpp"
 #include "rng/splitmix64.hpp"
-#include "rng/xoshiro256pp.hpp"
-#include "sim/collision_counter.hpp"
+#include "sim/walk_engine.hpp"
 #include "util/check.hpp"
 
 namespace antdense::core {
@@ -55,7 +54,102 @@ struct SequentialQuorumConfig {
   std::uint32_t max_rounds = 0;
 };
 
-/// Runs all agents' sequential detectors simultaneously on `topo`.
+/// The detectors as a walk observer: per-agent streaming moments of the
+/// per-round counts (the empirical-Bernstein width without storing the
+/// full history), read off the agent slice in after_round; every
+/// `check_every` rounds the serial end_round decides each undecided
+/// agent whose interval clears the midpoint, and done() ends the walk
+/// once none is left.  Undecided agents keep decision round 0.
+class SequentialQuorumObserver {
+ public:
+  SequentialQuorumObserver(std::uint32_t num_agents,
+                           const SequentialQuorumConfig& cfg)
+      : cfg_(cfg),
+        midpoint_(cfg.threshold * (1.0 + cfg.gamma / 2.0)),
+        log_term_(std::log(3.0 / cfg.delta)),
+        sum_(num_agents, 0.0),
+        sum_sq_(num_agents, 0.0),
+        decisions_(num_agents, QuorumDecision::kUndecided),
+        decision_round_(num_agents, 0),
+        undecided_(num_agents) {}
+
+  template <typename View>
+  void after_round(const View& v) {
+    ANTDENSE_ASSERT(v.num_agents == sum_.size(),
+                    "observer sized for a different agent count");
+    for (std::uint32_t i = v.begin_agent; i < v.end_agent; ++i) {
+      const double x = v.counter.occupancy(v.keys[i]) - 1;
+      sum_[i] += x;
+      sum_sq_[i] += x * x;
+    }
+  }
+
+  void end_round(std::uint32_t round) {
+    if (round % cfg_.check_every != 0 || round < 2) {
+      return;
+    }
+    const double t = round;
+    for (std::size_t i = 0; i < sum_.size(); ++i) {
+      if (decisions_[i] != QuorumDecision::kUndecided) {
+        continue;
+      }
+      const double mean = sum_[i] / t;
+      const double variance =
+          std::max(0.0, (sum_sq_[i] - t * mean * mean) / (t - 1.0));
+      const double half =
+          cfg_.correlation_inflation *
+          (std::sqrt(2.0 * variance * log_term_ / t) + 3.0 * log_term_ / t);
+      if (mean - half > midpoint_) {
+        decide(i, QuorumDecision::kQuorum, round);
+      } else if (mean + half < midpoint_) {
+        decide(i, QuorumDecision::kNoQuorum, round);
+      }
+    }
+  }
+
+  bool done() const { return undecided_ == 0; }
+
+  /// Ends the walk after `rounds` rounds: agents still undecided fall
+  /// back to the fixed-horizon rule (mean count against the midpoint)
+  /// with decision round `rounds`.
+  void settle(std::uint32_t rounds) {
+    for (std::size_t i = 0; i < sum_.size(); ++i) {
+      if (decisions_[i] == QuorumDecision::kUndecided) {
+        decide(i,
+               sum_[i] / rounds >= midpoint_ ? QuorumDecision::kQuorum
+                                             : QuorumDecision::kNoQuorum,
+               rounds);
+      }
+    }
+  }
+
+  std::vector<QuorumDecision> take_decisions() {
+    return std::move(decisions_);
+  }
+  std::vector<std::uint32_t> take_decision_round() {
+    return std::move(decision_round_);
+  }
+
+ private:
+  void decide(std::size_t i, QuorumDecision d, std::uint32_t round) {
+    decisions_[i] = d;
+    decision_round_[i] = round;
+    --undecided_;
+  }
+
+  SequentialQuorumConfig cfg_;
+  double midpoint_;
+  double log_term_;
+  std::vector<double> sum_;
+  std::vector<double> sum_sq_;
+  std::vector<QuorumDecision> decisions_;
+  std::vector<std::uint32_t> decision_round_;
+  std::uint32_t undecided_;
+};
+
+/// Runs all agents' sequential detectors simultaneously on `topo`: one
+/// single-stream walk (derive_seed(seed, 0x5EB)) that ends once every
+/// agent has decided, or at the budget.
 template <graph::Topology T>
 SequentialQuorumResult run_sequential_quorum(
     const T& topo, std::uint32_t num_agents,
@@ -63,81 +157,27 @@ SequentialQuorumResult run_sequential_quorum(
   ANTDENSE_CHECK(num_agents >= 2, "need at least two agents");
   ANTDENSE_CHECK(cfg.check_every >= 1, "check cadence must be >= 1");
   const QuorumDetector detector(cfg.threshold, cfg.gamma, cfg.delta);
-  const double midpoint = cfg.threshold * (1.0 + cfg.gamma / 2.0);
   const std::uint32_t budget =
       cfg.max_rounds > 0
           ? cfg.max_rounds
           : static_cast<std::uint32_t>(std::min<std::uint64_t>(
                 detector.required_rounds(), topo.num_nodes()));
 
-  rng::Xoshiro256pp gen(rng::derive_seed(seed, 0x5EBu));
-  std::vector<typename T::node_type> pos(num_agents);
-  for (auto& p : pos) {
-    p = topo.random_node(gen);
-  }
-  std::vector<std::uint64_t> keys(num_agents);
-  // Per-agent streaming moments of the per-round counts (for the
-  // empirical-Bernstein width without storing the full history).
-  std::vector<double> sum(num_agents, 0.0);
-  std::vector<double> sum_sq(num_agents, 0.0);
-  sim::CollisionCounter counter(num_agents);
+  SequentialQuorumObserver observer(num_agents, cfg);
+  sim::run_walk(topo, sim::WalkConfig{.num_agents = num_agents,
+                                      .rounds = budget},
+                rng::derive_seed(seed, 0x5EBu), sim::SingleExec{},
+                static_cast<const std::vector<typename T::node_type>*>(
+                    nullptr),
+                observer);
+  observer.settle(budget);
 
   SequentialQuorumResult result;
+  result.decisions = observer.take_decisions();
+  result.decision_round = observer.take_decision_round();
   result.true_density = static_cast<double>(num_agents - 1) /
                         static_cast<double>(topo.num_nodes());
   result.budget = budget;
-  result.decisions.assign(num_agents, QuorumDecision::kUndecided);
-  result.decision_round.assign(num_agents, budget);
-  std::uint32_t undecided = num_agents;
-
-  const double log_term = std::log(3.0 / cfg.delta);
-  for (std::uint32_t r = 1; r <= budget && undecided > 0; ++r) {
-    counter.begin_round();
-    for (std::uint32_t i = 0; i < num_agents; ++i) {
-      pos[i] = topo.random_neighbor(pos[i], gen);
-      keys[i] = topo.key(pos[i]);
-      counter.add(keys[i]);
-    }
-    for (std::uint32_t i = 0; i < num_agents; ++i) {
-      const double x = counter.occupancy(keys[i]) - 1;
-      sum[i] += x;
-      sum_sq[i] += x * x;
-    }
-    if (r % cfg.check_every != 0 || r < 2) {
-      continue;
-    }
-    for (std::uint32_t i = 0; i < num_agents; ++i) {
-      if (result.decisions[i] != QuorumDecision::kUndecided) {
-        continue;
-      }
-      const double t = r;
-      const double mean = sum[i] / t;
-      const double variance =
-          std::max(0.0, (sum_sq[i] - t * mean * mean) / (t - 1.0));
-      const double half =
-          cfg.correlation_inflation *
-          (std::sqrt(2.0 * variance * log_term / t) + 3.0 * log_term / t);
-      if (mean - half > midpoint) {
-        result.decisions[i] = QuorumDecision::kQuorum;
-        result.decision_round[i] = r;
-        --undecided;
-      } else if (mean + half < midpoint) {
-        result.decisions[i] = QuorumDecision::kNoQuorum;
-        result.decision_round[i] = r;
-        --undecided;
-      }
-    }
-  }
-
-  // Budget exhausted: fall back to the fixed-horizon rule for agents
-  // whose interval still straddles the midpoint.
-  for (std::uint32_t i = 0; i < num_agents; ++i) {
-    if (result.decisions[i] == QuorumDecision::kUndecided) {
-      result.decisions[i] = (sum[i] / budget) >= midpoint
-                                ? QuorumDecision::kQuorum
-                                : QuorumDecision::kNoQuorum;
-    }
-  }
   return result;
 }
 

@@ -2,11 +2,17 @@
 // arXiv:1603.02981, Algorithm 1): every agent steps, counts the agents
 // on its node, and reports c/t.  The walk workloads — density estimation
 // on static and dynamic worlds, two-class property counting, trajectory
-// recording, local-density profiling — run on every engine through the
-// ONE loop in run_walk.  Three drivers keep private round loops because
-// their rounds are not this one's: core::run_sequential_quorum (stops
-// early once a verdict is reached), core::run_independent_sampling
-// (deterministic walkers) and swarm::run_dispersion (double steps).
+// recording, local-density profiling, sequential quorum detection — run
+// through the ONE loop in run_walk.  Two drivers keep private round
+// loops, because run_walk cannot continue their pinned streams:
+//   - swarm::run_dispersion draws the clustered placement, every
+//     epoch's single and double steps and each epoch's spread sample
+//     from one generator (derive_seed(seed, 0xD15C)); no per-call lane
+//     stream of run_walk can continue it across epochs.
+//   - core::run_independent_sampling's walkers take a deterministic +y
+//     step and draw nothing after placement; saying that to run_walk
+//     takes a step hook or a fake topology, either more code than its
+//     15-line loop.
 //
 // One round, written once:
 //   0. mutate: when a dynamics model is attached (sim/dynamics.hpp) and
@@ -23,7 +29,9 @@
 //   5. after_round hooks (per-agent reads of the round's keys, the
 //      occupancy counter, the positions if asked for, and the view's
 //      generator for noise draws);
-//   6. end_round hooks (serial cross-agent snapshots).
+//   6. end_round hooks (serial cross-agent snapshots);
+//   7. done hooks: the walk ends after this round if any observer says
+//      so (an early-stopping detector); packs without one never check.
 //
 // What differs between engines is a compile-time execution policy —
 // the `exec` argument — and each engine name is one fixed policy:
@@ -183,8 +191,10 @@ using RoundView = BasicRoundView<CollisionCounter>;
 /// An observer is any type with at least one per-round hook:
 /// `after_round(view)`, `after_round(view, positions)` (node handles,
 /// not keys), or `end_round(round)`.  Optional hooks: `begin_round
-/// (round)` (serial, before the round's steps) and `fill(view)`
-/// (auxiliary occupancy counting between counting and after_round).
+/// (round)` (serial, before the round's steps), `fill(view)`
+/// (auxiliary occupancy counting between counting and after_round) and
+/// `bool done() const` (read after the end_round hooks; the walk ends
+/// after the first round in which any observer's done() is true).
 ///
 /// run_walk checks the concept against the *actual* view type the
 /// policy passes: the notify helpers skip hooks a view type cannot
@@ -439,6 +449,22 @@ template <typename Obs>
 inline void notify_end_round(Obs& obs, std::uint32_t round) {
   if constexpr (requires { obs.end_round(round); }) {
     obs.end_round(round);
+  }
+}
+
+/// An observer that can end the walk early.  Packs without one compile
+/// to the fixed-length loop.
+template <typename O>
+concept StoppingObserver = requires(const O& o) {
+  { o.done() } -> std::convertible_to<bool>;
+};
+
+template <typename Obs>
+inline bool notify_done(const Obs& obs) {
+  if constexpr (StoppingObserver<Obs>) {
+    return obs.done();
+  } else {
+    return false;
   }
 }
 
@@ -716,6 +742,7 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
     }
   };
 
+  std::uint32_t rounds_run = cfg.rounds;
   for (round = 1; round <= cfg.rounds; ++round) {
     counter.begin_round();
     if (dyn != nullptr && round > 1) {
@@ -746,17 +773,24 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
       observe(lane);
     }
     (detail::notify_end_round(observers, round), ...);
+    if constexpr ((StoppingObserver<Obs> || ...)) {
+      if ((detail::notify_done(observers) || ...)) {
+        rounds_run = round;
+        break;
+      }
+    }
   }
-  tap.add_rounds(cfg.rounds);
-  tap.add_agent_steps(static_cast<std::uint64_t>(cfg.rounds) * n_agents);
+  tap.add_rounds(rounds_run);
+  tap.add_agent_steps(static_cast<std::uint64_t>(rounds_run) * n_agents);
 }
 
 }  // namespace detail
 
 /// Runs the synchronous round loop under execution policy `exec`: place
 /// agents (uniform i.i.d. from the policy's streams, or the caller's
-/// `initial_positions`), step them `cfg.rounds` times, count occupancy,
-/// and fire every observer hook each round.  `stream_seed` seeds the
+/// `initial_positions`), step them `cfg.rounds` times (fewer when an
+/// observer's done() ends the walk), count occupancy, and fire every
+/// observer hook each round.  `stream_seed` seeds the
 /// policy's streams directly — callers that expose a user-facing seed
 /// derive their own stream tag first (see run_density_walk).
 /// Deterministic in `stream_seed` (and ShardExec::shard_size); never in

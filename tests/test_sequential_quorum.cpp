@@ -161,5 +161,31 @@ TEST(SequentialQuorum, OutputsArePinned) {
   EXPECT_EQ(util::hex64(util::fnv1a64(bytes)), "9f39772b9f91b136");
 }
 
+TEST(SequentialQuorum, ObserverIsThreadCountInvariantOnTheShardedEngine) {
+  // The detector as an observer over run_walk's sharded policy: 8-agent
+  // shards run after_round concurrently, the decisions stay serial, and
+  // the output is byte-identical for one and four threads.
+  const Torus2D torus(32, 32);
+  const SequentialQuorumConfig cfg = basic_config();
+  constexpr std::uint32_t kAgents = 257;
+  const auto run = [&](unsigned threads) {
+    SequentialQuorumObserver observer(kAgents, cfg);
+    sim::run_walk(torus, sim::WalkConfig{.num_agents = kAgents,
+                                         .rounds = cfg.max_rounds},
+                  11, sim::ShardExec{.threads = threads, .shard_size = 8},
+                  nullptr, observer);
+    EXPECT_TRUE(observer.done()) << "the walk should stop before the budget";
+    observer.settle(cfg.max_rounds);
+    SequentialQuorumResult r;
+    r.budget = cfg.max_rounds;
+    r.decisions = observer.take_decisions();
+    r.decision_round = observer.take_decision_round();
+    std::string bytes;
+    put_result(bytes, r);
+    return bytes;
+  };
+  EXPECT_EQ(run(1), run(4));
+}
+
 }  // namespace
 }  // namespace antdense::core

@@ -27,6 +27,8 @@
 #include "graph/ring.hpp"
 #include "graph/torus2d.hpp"
 #include "graph/torus_kd.hpp"
+#include "obs/metrics.hpp"
+#include "obs/telemetry.hpp"
 #include "rng/splitmix64.hpp"
 #include "scenario/ball_density.hpp"
 #include "sim/density_sim.hpp"
@@ -404,6 +406,59 @@ TEST(WalkEngine, EveryEngineFiresHooksInOneOrder) {
               expected)
         << "sharded, threads=" << threads;
   }
+}
+
+// Counts end_round calls and asks to stop once it has seen `stop_at`.
+struct StopAfter {
+  std::uint32_t stop_at = 0;
+  std::uint32_t ends = 0;
+  void end_round(std::uint32_t) { ++ends; }
+  bool done() const { return ends >= stop_at; }
+};
+
+TEST(WalkEngine, DoneStopsAfterTheRound) {
+  // done() is read after the end_round hooks: the walk ends after round
+  // k on every engine, the telemetry tap counts k rounds, and the
+  // observers riding along saw a plain k-round walk.
+  const Torus2D torus(12, 12);
+  WalkConfig cfg;
+  cfg.num_agents = 40;
+  cfg.rounds = 50;
+  constexpr std::uint32_t kStop = 7;
+  const auto run = [&](const auto& exec, const std::string& engine) {
+    obs::MetricsRegistry metrics;
+    obs::Telemetry telemetry{&metrics, nullptr};
+    CollisionObserver counts(cfg.num_agents);
+    StopAfter stop{kStop};
+    {
+      const obs::ScopedTelemetry ambient(&telemetry);
+      run_walk(torus, cfg, 5, exec, nullptr, counts, stop);
+    }
+    EXPECT_EQ(stop.ends, kStop) << engine;
+    const obs::Labels labels{{"engine", engine}};
+    EXPECT_EQ(
+        metrics.counter("antdense_engine_rounds_total", labels).value(),
+        kStop)
+        << engine;
+    EXPECT_EQ(
+        metrics.counter("antdense_engine_agent_steps_total", labels).value(),
+        std::uint64_t{kStop} * cfg.num_agents)
+        << engine;
+    return counts.take_counts();
+  };
+  const auto fixed_length = [&](const auto& exec) {
+    WalkConfig k_rounds = cfg;
+    k_rounds.rounds = kStop;
+    CollisionObserver counts(cfg.num_agents);
+    run_walk(torus, k_rounds, 5, exec, nullptr, counts);
+    return counts.take_counts();
+  };
+  EXPECT_EQ(run(SingleExec{}, "single"), fixed_length(SingleExec{}));
+  EXPECT_EQ(run(VectorExec{}, "vector"), fixed_length(VectorExec{}));
+  const ShardExec one{.threads = 1, .shard_size = 8};
+  const ShardExec four{.threads = 4, .shard_size = 8};
+  EXPECT_EQ(run(one, "sharded"), fixed_length(one));
+  EXPECT_EQ(run(four, "sharded"), fixed_length(one));
 }
 
 /// The local-density workload's walk: agents over AnyTopology(torus) on
