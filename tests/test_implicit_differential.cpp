@@ -7,7 +7,7 @@
 // against uniform-over-adjacency, which is exactly what the explicit
 // reference samples).  Fixed seeds make these regression tests, not
 // flaky statistics.
-#include "graph/materialize.hpp"
+#include "materialize.hpp"
 
 #include <gtest/gtest.h>
 
