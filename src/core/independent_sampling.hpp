@@ -27,8 +27,8 @@ struct IndependentSamplingResult {
   std::uint32_t rounds = 0;
 };
 
-/// Runs Algorithm 4 on the given torus.  Requires rounds < min(width,
-/// height) so a walker's swept column never wraps (the theorem's
+/// Runs Algorithm 4 on the given torus.  Requires rounds < height so a
+/// walker's +y sweep never revisits a node (the theorem's
 /// t < sqrt(A) condition on a square torus).
 IndependentSamplingResult run_independent_sampling(
     const graph::Torus2D& torus, std::uint32_t num_agents,
