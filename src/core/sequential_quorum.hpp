@@ -56,10 +56,10 @@ struct SequentialQuorumConfig {
 
 /// The detectors as a walk observer: per-agent streaming moments of the
 /// per-round counts (the empirical-Bernstein width without storing the
-/// full history), read off the agent slice in after_round; every
+/// full history), read off the view's agent slice in after_round; every
 /// `check_every` rounds the serial end_round decides each undecided
 /// agent whose interval clears the midpoint, and done() ends the walk
-/// once none is left.  Undecided agents keep decision round 0.
+/// once none is left.
 class SequentialQuorumObserver {
  public:
   SequentialQuorumObserver(std::uint32_t num_agents,
@@ -69,9 +69,10 @@ class SequentialQuorumObserver {
         log_term_(std::log(3.0 / cfg.delta)),
         sum_(num_agents, 0.0),
         sum_sq_(num_agents, 0.0),
-        decisions_(num_agents, QuorumDecision::kUndecided),
-        decision_round_(num_agents, 0),
-        undecided_(num_agents) {}
+        undecided_(num_agents) {
+    result_.decisions.assign(num_agents, QuorumDecision::kUndecided);
+    result_.decision_round.assign(num_agents, 0);
+  }
 
   template <typename View>
   void after_round(const View& v) {
@@ -90,7 +91,7 @@ class SequentialQuorumObserver {
     }
     const double t = round;
     for (std::size_t i = 0; i < sum_.size(); ++i) {
-      if (decisions_[i] != QuorumDecision::kUndecided) {
+      if (result_.decisions[i] != QuorumDecision::kUndecided) {
         continue;
       }
       const double mean = sum_[i] / t;
@@ -109,31 +110,26 @@ class SequentialQuorumObserver {
 
   bool done() const { return undecided_ == 0; }
 
-  /// Ends the walk after `rounds` rounds: agents still undecided fall
-  /// back to the fixed-horizon rule (mean count against the midpoint)
-  /// with decision round `rounds`.
-  void settle(std::uint32_t rounds) {
+  /// The decisions after a walk of `budget` rounds: agents whose
+  /// interval still straddles the midpoint fall back to the
+  /// fixed-horizon rule, with decision round `budget`.
+  SequentialQuorumResult settle(std::uint32_t budget) {
     for (std::size_t i = 0; i < sum_.size(); ++i) {
-      if (decisions_[i] == QuorumDecision::kUndecided) {
+      if (result_.decisions[i] == QuorumDecision::kUndecided) {
         decide(i,
-               sum_[i] / rounds >= midpoint_ ? QuorumDecision::kQuorum
+               sum_[i] / budget >= midpoint_ ? QuorumDecision::kQuorum
                                              : QuorumDecision::kNoQuorum,
-               rounds);
+               budget);
       }
     }
-  }
-
-  std::vector<QuorumDecision> take_decisions() {
-    return std::move(decisions_);
-  }
-  std::vector<std::uint32_t> take_decision_round() {
-    return std::move(decision_round_);
+    result_.budget = budget;
+    return std::move(result_);
   }
 
  private:
   void decide(std::size_t i, QuorumDecision d, std::uint32_t round) {
-    decisions_[i] = d;
-    decision_round_[i] = round;
+    result_.decisions[i] = d;
+    result_.decision_round[i] = round;
     --undecided_;
   }
 
@@ -142,14 +138,13 @@ class SequentialQuorumObserver {
   double log_term_;
   std::vector<double> sum_;
   std::vector<double> sum_sq_;
-  std::vector<QuorumDecision> decisions_;
-  std::vector<std::uint32_t> decision_round_;
   std::uint32_t undecided_;
+  SequentialQuorumResult result_;
 };
 
 /// Runs all agents' sequential detectors simultaneously on `topo`: one
-/// single-stream walk (derive_seed(seed, 0x5EB)) that ends once every
-/// agent has decided, or at the budget.
+/// single-stream walk that ends once every agent has decided, or at the
+/// budget.
 template <graph::Topology T>
 SequentialQuorumResult run_sequential_quorum(
     const T& topo, std::uint32_t num_agents,
@@ -164,20 +159,12 @@ SequentialQuorumResult run_sequential_quorum(
                 detector.required_rounds(), topo.num_nodes()));
 
   SequentialQuorumObserver observer(num_agents, cfg);
-  sim::run_walk(topo, sim::WalkConfig{.num_agents = num_agents,
-                                      .rounds = budget},
-                rng::derive_seed(seed, 0x5EBu), sim::SingleExec{},
-                static_cast<const std::vector<typename T::node_type>*>(
-                    nullptr),
+  sim::run_walk(topo, {.num_agents = num_agents, .rounds = budget},
+                rng::derive_seed(seed, 0x5EBu), sim::SingleExec{}, nullptr,
                 observer);
-  observer.settle(budget);
-
-  SequentialQuorumResult result;
-  result.decisions = observer.take_decisions();
-  result.decision_round = observer.take_decision_round();
+  SequentialQuorumResult result = observer.settle(budget);
   result.true_density = static_cast<double>(num_agents - 1) /
                         static_cast<double>(topo.num_nodes());
-  result.budget = budget;
   return result;
 }
 

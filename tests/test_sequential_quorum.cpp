@@ -174,14 +174,9 @@ TEST(SequentialQuorum, ObserverIsThreadCountInvariantOnTheShardedEngine) {
                                          .rounds = cfg.max_rounds},
                   11, sim::ShardExec{.threads = threads, .shard_size = 8},
                   nullptr, observer);
-    EXPECT_TRUE(observer.done()) << "the walk should stop before the budget";
-    observer.settle(cfg.max_rounds);
-    SequentialQuorumResult r;
-    r.budget = cfg.max_rounds;
-    r.decisions = observer.take_decisions();
-    r.decision_round = observer.take_decision_round();
+    EXPECT_TRUE(observer.done()) << "every agent should decide";
     std::string bytes;
-    put_result(bytes, r);
+    put_result(bytes, observer.settle(cfg.max_rounds));
     return bytes;
   };
   EXPECT_EQ(run(1), run(4));
