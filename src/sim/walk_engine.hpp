@@ -790,9 +790,9 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
 /// agents (uniform i.i.d. from the policy's streams, or the caller's
 /// `initial_positions`), step them `cfg.rounds` times (fewer when an
 /// observer's done() ends the walk), count occupancy, and fire every
-/// observer hook each round.  `stream_seed` seeds the
-/// policy's streams directly — callers that expose a user-facing seed
-/// derive their own stream tag first (see run_density_walk).
+/// observer hook each round.  `stream_seed` seeds the policy's streams
+/// directly — callers that expose a user-facing seed derive their own
+/// stream tag first (see run_density_walk).
 /// Deterministic in `stream_seed` (and ShardExec::shard_size); never in
 /// ShardExec::threads.
 template <graph::Topology T, ExecPolicy Exec, class... Obs>
