@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+
 #include "graph/algos.hpp"
+#include "util/hash.hpp"
 
 namespace antdense::graph {
 namespace {
@@ -171,6 +176,66 @@ TEST(RandomRegular, DeterministicInSeed) {
     for (std::size_t i = 0; i < na.size(); ++i) {
       EXPECT_EQ(na[i], nb[i]);
     }
+  }
+}
+
+// FNV-1a over the CSR form: the offsets as 64-bit words, then every
+// adjacency row in order.  Any change to which edges a generator draws,
+// or to the order `from_edges` lays them out in, moves the hash.
+std::string adjacency_hash(const Graph& g) {
+  std::string bytes;
+  const auto put = [&bytes](auto v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  std::uint64_t offset = 0;
+  put(offset);
+  for (Graph::vertex v = 0; v < g.num_vertices(); ++v) {
+    offset += g.degree(v);
+    put(offset);
+  }
+  for (Graph::vertex v = 0; v < g.num_vertices(); ++v) {
+    for (Graph::vertex u : g.neighbors(v)) put(u);
+  }
+  return util::hex64(util::fnv1a64(bytes));
+}
+
+TEST(Generators, AdjacencyIsPinned) {
+  struct Case {
+    const char* name;
+    std::function<Graph()> build;
+    const char* hash;
+  };
+  const Case cases[] = {
+      {"regular(200,8,23)",
+       [] { return make_random_regular_graph(200, 8, 23); },
+       "30f2716ced32dbe3"},
+      {"regular(4096,8,99)",
+       [] { return make_random_regular_graph(4096, 8, 99); },
+       "c800edb4c4bbfad1"},
+      {"regular(100000,8,7)",
+       [] { return make_random_regular_graph(100000, 8, 7); },
+       "532ab0d15704c772"},
+      // d close to n: a large share of the paired stubs are loops or
+      // parallel edges, so most of the work is swap repair.
+      {"regular(50,30,11)",
+       [] { return make_random_regular_graph(50, 30, 11); },
+       "a7f5a65a503d20ad"},
+      {"erdos_renyi(216,648,7)",
+       [] { return make_erdos_renyi_graph(216, 648, 7); },
+       "f4eb8ff59b9c0f20"},
+      {"watts_strogatz(200,2,0.3,5)",
+       [] { return make_watts_strogatz_graph(200, 2, 0.3, 5); },
+       "e20f98030434a4e6"},
+      {"watts_strogatz(2000,3,0.2,0x11E)",
+       [] { return make_watts_strogatz_graph(2000, 3, 0.2, 0x11E); },
+       "a6b48ca824ecc3e0"},
+      {"barabasi_albert(500,3,13)",
+       [] { return make_barabasi_albert_graph(500, 3, 13); },
+       "c571f6a45ccdb31f"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(adjacency_hash(c.build()), c.hash);
   }
 }
 
