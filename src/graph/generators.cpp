@@ -1,12 +1,11 @@
 #include "graph/generators.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "graph/edge_key_set.hpp"
 #include "rng/random.hpp"
 #include "rng/xoshiro256pp.hpp"
 #include "util/check.hpp"
@@ -19,11 +18,6 @@ using Edge = std::pair<Graph::vertex, Graph::vertex>;
 
 Edge ordered(Graph::vertex a, Graph::vertex b) {
   return a < b ? Edge{a, b} : Edge{b, a};
-}
-
-std::uint64_t edge_key(Graph::vertex a, Graph::vertex b) {
-  const auto [lo, hi] = ordered(a, b);
-  return (static_cast<std::uint64_t>(lo) << 32) | hi;
 }
 
 }  // namespace
@@ -137,15 +131,14 @@ Graph make_erdos_renyi_graph(std::uint32_t n, std::uint64_t m,
       static_cast<std::uint64_t>(n) * (n - 1) / 2;
   ANTDENSE_CHECK(m <= max_edges, "too many edges requested");
   rng::Xoshiro256pp gen(seed);
-  std::unordered_set<std::uint64_t> chosen;
-  chosen.reserve(static_cast<std::size_t>(m) * 2);
+  EdgeKeySet chosen(static_cast<std::size_t>(m));
   std::vector<Edge> edges;
   edges.reserve(m);
   while (edges.size() < m) {
     const auto a = static_cast<Graph::vertex>(rng::uniform_below(gen, n));
     const auto b = static_cast<Graph::vertex>(rng::uniform_below(gen, n));
     if (a == b) continue;
-    if (chosen.insert(edge_key(a, b)).second) {
+    if (chosen.insert(edge_key(a, b))) {
       edges.push_back(ordered(a, b));
     }
   }
@@ -175,12 +168,12 @@ Graph make_barabasi_albert_graph(std::uint32_t n, std::uint32_t attach,
   picks.reserve(attach);
   for (std::uint32_t v = seed_size; v < n; ++v) {
     picks.clear();
-    // Sample `attach` distinct existing vertices, degree-proportionally.
-    std::unordered_set<Graph::vertex> seen;
+    // Sample `attach` distinct existing vertices, degree-proportionally
+    // (`attach` is small, so a scan of `picks` beats a set).
     while (picks.size() < attach) {
       const Graph::vertex target =
           endpoint_pool[rng::uniform_below(gen, endpoint_pool.size())];
-      if (seen.insert(target).second) {
+      if (std::find(picks.begin(), picks.end(), target) == picks.end()) {
         picks.push_back(target);
       }
     }
@@ -199,18 +192,36 @@ Graph make_watts_strogatz_graph(std::uint32_t n, std::uint32_t k, double beta,
   ANTDENSE_CHECK(n > 2 * k, "n must exceed 2k");
   ANTDENSE_CHECK(beta >= 0.0 && beta <= 1.0, "beta must be in [0,1]");
   rng::Xoshiro256pp gen(seed);
-  std::set<Edge> edge_set;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    for (std::uint32_t j = 1; j <= k; ++j) {
-      edge_set.insert(ordered(v, (v + j) % n));
+  // The ring lattice {v, v+j mod n}, 1 <= j <= k, as (lo, hi) pairs in
+  // ascending order: row lo holds lo+1..lo+k (those below n), then the
+  // wrapped edges {lo, lo+n-j} for j = k down to lo+1.  n > 2k keeps the
+  // two groups apart and every pair distinct.
+  const std::size_t num_edges = static_cast<std::size_t>(n) * k;
+  std::vector<Edge> lattice;
+  lattice.reserve(num_edges);
+  for (std::uint32_t lo = 0; lo < n; ++lo) {
+    for (std::uint32_t j = 1; j <= k && lo + j < n; ++j) {
+      lattice.emplace_back(lo, lo + j);
+    }
+    for (std::uint32_t j = k; j > lo; --j) {
+      lattice.emplace_back(lo, lo + n - j);
     }
   }
-  // Rewire: each lattice edge (v, v+j) keeps v and redirects the other
-  // endpoint with probability beta.
-  std::vector<Edge> lattice(edge_set.begin(), edge_set.end());
+  EdgeKeySet edge_set(num_edges);
   for (const Edge& e : lattice) {
-    if (!rng::bernoulli(gen, beta)) continue;
-    edge_set.erase(e);
+    edge_set.insert(edge_key(e.first, e.second));
+  }
+  // Rewire, in lattice order: each edge keeps its lower endpoint v and
+  // redirects the other with probability beta.  An edge whose retries all
+  // fail is dropped.
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
+  for (const Edge& e : lattice) {
+    if (!rng::bernoulli(gen, beta)) {
+      edges.push_back(e);
+      continue;
+    }
+    edge_set.erase(edge_key(e.first, e.second));
     Graph::vertex v = e.first;
     // Retry until we find a non-duplicate, non-self target; bounded
     // retries keep generation total (fails only on near-complete graphs,
@@ -218,12 +229,12 @@ Graph make_watts_strogatz_graph(std::uint32_t n, std::uint32_t k, double beta,
     for (int attempt = 0; attempt < 64; ++attempt) {
       const auto w = static_cast<Graph::vertex>(rng::uniform_below(gen, n));
       if (w == v) continue;
-      if (edge_set.insert(ordered(v, w)).second) {
+      if (edge_set.insert(edge_key(v, w))) {
+        edges.push_back(ordered(v, w));
         break;
       }
     }
   }
-  std::vector<Edge> edges(edge_set.begin(), edge_set.end());
   return Graph::from_edges(n, edges);
 }
 
@@ -253,13 +264,12 @@ Graph make_random_regular_graph(std::uint32_t n, std::uint32_t k,
     edges.push_back(ordered(stubs[i], stubs[i + 1]));
   }
 
-  std::unordered_set<std::uint64_t> edge_set;
-  edge_set.reserve(edges.size() * 2);
+  EdgeKeySet edge_set(edges.size());
   std::vector<char> is_bad(edges.size(), 0);
   std::vector<std::size_t> bad;  // indices of violating edges
   for (std::size_t i = 0; i < edges.size(); ++i) {
     const auto [a, b] = edges[i];
-    if (a == b || !edge_set.insert(edge_key(a, b)).second) {
+    if (a == b || !edge_set.insert(edge_key(a, b))) {
       is_bad[i] = 1;
       bad.push_back(i);
     }
@@ -284,8 +294,8 @@ Graph make_random_regular_graph(std::uint32_t n, std::uint32_t k,
     }
     // Proposed replacements: (a, c) and (b, d).
     if (a == c || b == d) continue;
-    if (edge_set.count(edge_key(a, c)) > 0 ||
-        edge_set.count(edge_key(b, d)) > 0) {
+    if (edge_set.contains(edge_key(a, c)) ||
+        edge_set.contains(edge_key(b, d))) {
       continue;
     }
     if (edge_key(a, c) == edge_key(b, d)) continue;

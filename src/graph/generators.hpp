@@ -7,7 +7,11 @@
 //   - barabasi_albert:     power-law degrees, the social-network stand-in
 //   - watts_strogatz:      small-world, slow-ish mixing with shortcuts
 //   - erdos_renyi:         the classical baseline
-// All generators are deterministic in the seed.
+// All generators are deterministic in the seed.  The adjacency of the
+// random ones is pinned by hash (Generators.AdjacencyIsPinned in
+// tests/test_generators.cpp): every expander result rests on it.
+// random_regular, erdos_renyi and watts_strogatz keep their edge sets in
+// a flat EdgeKeySet (edge_key_set.hpp).
 #pragma once
 
 #include <cstdint>
