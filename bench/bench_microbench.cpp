@@ -71,6 +71,21 @@ void BM_StepExplicitRegular(benchmark::State& state) {
 }
 BENCHMARK(BM_StepExplicitRegular);
 
+// The `expander:` build alone: make_random_regular_graph(n, d) at the
+// walk-regular sizes, edge set and Graph::from_edges included.
+void BM_RandomRegularBuild(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto d = static_cast<std::uint32_t>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::make_random_regular_graph(n, d, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * n * d / 2);
+}
+BENCHMARK(BM_RandomRegularBuild)
+    ->Args({100000, 8})
+    ->Args({400000, 8})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_CollisionCounterAdd(benchmark::State& state) {
   const auto agents = static_cast<std::size_t>(state.range(0));
   sim::CollisionCounter counter(agents);
