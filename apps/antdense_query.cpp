@@ -114,6 +114,7 @@ int cmd_run(const util::Args& args) {
     throw std::invalid_argument("--spec=FILE.json is required");
   }
   const util::JsonValue spec = load_json_file(args.get_string("spec", ""));
+  const bool canonical = args.get_bool("canonical", false);
   serve::Client client(require_port(args));
   const util::JsonValue response =
       client.run(spec, args.get_bool("progress", false),
@@ -135,7 +136,7 @@ int cmd_run(const util::Args& args) {
                                                              : "false")
             << " elapsed_ns="
             << (elapsed != nullptr ? elapsed->as_uint() : 0) << "\n";
-  if (args.get_bool("canonical", false)) {
+  if (canonical) {
     write_output(args, result->dump(0) + "\n");
   } else {
     util::JsonValue merged = *result;
@@ -188,12 +189,13 @@ int cmd_simple(const util::Args& args, const std::string& type) {
 
 int cmd_metrics(const util::Args& args) {
   args.require_known({"port", "json", "help"});
+  const bool json = args.get_bool("json", false);
   serve::Client client(require_port(args));
   const util::JsonValue response = client.metrics();
   if (check_error(response)) {
     return 1;
   }
-  if (args.get_bool("json", false)) {
+  if (json) {
     const util::JsonValue* metrics = response.find("metrics");
     if (metrics == nullptr) {
       throw std::runtime_error("malformed response: no metrics object");

@@ -151,6 +151,8 @@ int main(int argc, char** argv) {
                                "quiet", "help", "list-topologies",
                                "list-workloads", "list-dynamics"});
     args.require_known(known);
+    // Read before the run, so a malformed value fails fast.
+    const bool quiet = args.get_bool("quiet", false);
 
     scenario::ScenarioSpec spec;
     if (args.has("spec")) {
@@ -177,7 +179,7 @@ int main(int argc, char** argv) {
       obs::write_trace_file(trace, args.get_string("trace-out", ""));
     }
 
-    if (!args.get_bool("quiet", false)) {
+    if (!quiet) {
       print_report(result);
     }
     if (args.has("out")) {
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
       if (!out_file.good()) {
         throw std::runtime_error("write to " + path + " failed");
       }
-      if (!args.get_bool("quiet", false)) {
+      if (!quiet) {
         std::cout << "\nwrote " << path << "\n";
       }
     }

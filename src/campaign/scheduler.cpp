@@ -143,9 +143,9 @@ RunReport run_campaign(const CampaignSpec& campaign,
   std::atomic<std::size_t> completed{0};
   std::mutex progress_mutex;
 
-  util::parallel_for_stoppable(
+  util::parallel_for(
       pending.size(),
-      [&](std::size_t i, std::stop_token) {
+      [&](std::size_t i) {
         const PlannedExperiment& p = pending[i];
         // Workers never inherit the caller's thread-local ambient
         // telemetry, so install the campaign's bundle here — engine

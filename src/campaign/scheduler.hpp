@@ -1,7 +1,8 @@
 // The campaign scheduler: expands a CampaignSpec, subtracts the
-// experiments its journal already holds, and runs the remainder on a
-// std::jthread work queue (util::parallel_for_stoppable), journaling
-// each experiment the moment it completes.
+// experiments its journal already holds, and runs the remainder through
+// util::parallel_for (one util::WorkerPool for the run, the calling
+// thread among its workers), journaling each experiment the moment it
+// completes.
 //
 // Determinism contract: every experiment runs single-threaded inside a
 // worker with a seed derived from (campaign seed, spec identity hash) at
@@ -52,8 +53,8 @@ struct RunOptions {
   /// thread-budget clamp message when a campaign asks for more total
   /// threads than the hardware has).  Unset = diagnostics are dropped.
   std::function<void(const std::string&)> on_diagnostic;
-  /// Cooperative cancellation, polled by each worker before it claims
-  /// the next experiment (util::parallel_for_stoppable's should_stop).
+  /// Cooperative cancellation, polled before each experiment starts
+  /// (util::parallel_for's should_stop).
   /// Wire util::termination_requested here and SIGINT/SIGTERM turn into
   /// a clean interrupt: in-flight experiments finish and journal, the
   /// rest count as `remaining`, and the journal tail stays whole — so

@@ -77,17 +77,12 @@ std::vector<double> collect_single_agent_estimates(const T& topo,
                                                    std::uint64_t root_seed,
                                                    std::uint32_t trials,
                                                    unsigned threads = 0) {
-  std::vector<double> out(trials, 0.0);
-  util::parallel_for(
-      trials,
-      [&](std::size_t trial) {
-        const DensityResult r = run_density_walk(
-            topo, cfg, rng::derive_seed(root_seed, trial));
-        out[trial] =
-            static_cast<double>(r.collision_counts[0]) / r.rounds;
-      },
-      threads);
-  return out;
+  return pool_trial_estimates(trials, 1, threads, [&](std::size_t trial) {
+    const DensityResult r =
+        run_density_walk(topo, cfg, rng::derive_seed(root_seed, trial));
+    return std::vector<double>{
+        static_cast<double>(r.collision_counts[0]) / r.rounds};
+  });
 }
 
 }  // namespace antdense::sim

@@ -73,7 +73,6 @@
 #include <concepts>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -715,31 +714,16 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
   // The fused policy's two phases.  Its pool outlives the round loop,
   // so each phase is a barrier its workers mostly spin through, not a
   // thread spawn, and the phases are wrapped in std::function once
-  // rather than per dispatch.  One thread runs the same shards in the
-  // same order, calling the phases directly, so its output is identical.
-  const auto phase_a = [&](std::size_t s) {
+  // rather than per dispatch.  A one-thread pool runs the same shards
+  // inline, in the same order, so its output is identical.
+  util::WorkerPool pool(threads);
+  const std::function<void(std::size_t)> phase_a = [&](std::size_t s) {
     step(lanes[s]);
     count(lanes[s]);
     fill(lanes[s]);
   };
-  const auto phase_b = [&](std::size_t s) { observe(lanes[s]); };
-  std::unique_ptr<util::WorkerPool> pool;
-  std::function<void(std::size_t)> phase_a_fn;
-  std::function<void(std::size_t)> phase_b_fn;
-  if (concurrent) {
-    pool = std::make_unique<util::WorkerPool>(threads);
-    phase_a_fn = phase_a;
-    phase_b_fn = phase_b;
-  }
-  const auto dispatch = [&](const auto& phase,
-                            const std::function<void(std::size_t)>& wrapped) {
-    if (concurrent) {
-      pool->run(lanes.size(), wrapped);
-    } else {
-      for (std::size_t s = 0; s < lanes.size(); ++s) {
-        phase(s);
-      }
-    }
+  const std::function<void(std::size_t)> phase_b = [&](std::size_t s) {
+    observe(lanes[s]);
   };
 
   std::uint32_t rounds_run = cfg.rounds;
@@ -754,10 +738,10 @@ void run_rounds(const T& topo, const WalkConfig& cfg,
     if constexpr (kFused) {
       {
         const obs::EngineTap::PhaseSpan phase(tap, 0);
-        dispatch(phase_a, phase_a_fn);
+        pool.run(lanes.size(), phase_a);
       }
       const obs::EngineTap::PhaseSpan phase(tap, kObservePhase);
-      dispatch(phase_b, phase_b_fn);
+      pool.run(lanes.size(), phase_b);
     } else {
       LaneT& lane = lanes.front();
       {

@@ -175,7 +175,13 @@ bool Args::get_bool(const std::string& key, bool fallback) const {
     return fallback;
   }
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") {
+    return true;
+  }
+  if (v == "false" || v == "0" || v == "no" || v == "off") {
+    return false;
+  }
+  throw_bad_value(key, v, "true/1/yes/on or false/0/no/off");
 }
 
 }  // namespace antdense::util

@@ -43,6 +43,8 @@ class Args {
       const std::string& key, std::uint64_t fallback,
       std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   double get_double(const std::string& key, double fallback) const;
+  /// True for a bare flag or true/1/yes/on, false for false/0/no/off;
+  /// any other value throws like the numeric getters.
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -118,6 +118,13 @@ void WorkerPool::worker_loop() {
 
 void WorkerPool::run(std::size_t num_tasks,
                      const std::function<void(std::size_t)>& fn) {
+  if (workers_.empty()) {
+    // One thread: nobody to release or wait for.
+    for (std::size_t i = 0; i < num_tasks; ++i) {
+      fn(i);
+    }
+    return;
+  }
   if (num_tasks == 0) {
     return;
   }

@@ -1,19 +1,23 @@
-// Persistent worker pool for phase-structured parallelism.
+// The worker pool: the one place that starts fan-out threads.
 //
-// parallel_for (util/parallel.hpp) spawns and joins threads per call —
-// fine for coarse work like Monte Carlo trials, hopeless for the
-// sharded walk engine, which needs two synchronized parallel phases
-// *per round* (step/count, then observe) across thousands of rounds.
-// WorkerPool keeps its std::jthread workers alive across run() calls so
-// a phase costs a barrier crossing instead of a thread spawn.  Both
-// sides of the barrier — workers waiting for the next run(), the caller
-// waiting for the last worker — first spin on atomics for a bounded,
-// compile-time number of pause instructions (with an occasional yield,
-// so a spinner never starves a thread that shares its core), and only
-// then park on a condition variable: the engine's phases follow each
-// other within microseconds, so a spinning worker catches the next one
-// without a futex wake, while a pool left idle (between trials, after
-// the walk) parks within a millisecond.
+// util::parallel_for (trial fan-outs, the campaign scheduler) builds
+// one for the length of its call; the sharded walk engine keeps one
+// across its round loop, whose two synchronized parallel phases *per
+// round* (step/count, then observe) each cost a barrier crossing
+// instead of a thread spawn.  Pools stay per call because run() is not
+// reentrant and fan-outs nest (a campaign worker's experiment opens
+// its own trial fan-out).  A one-thread pool spawns no worker: run()
+// calls every task inline, in index order.
+//
+// Workers stay alive across run() calls.  Both sides of the barrier —
+// workers waiting for the next run(), the caller waiting for the last
+// worker — first spin on atomics for a bounded, compile-time number of
+// pause instructions (with an occasional yield, so a spinner never
+// starves a thread that shares its core), and only then park on a
+// condition variable: the engine's phases follow each other within
+// microseconds, so a spinning worker catches the next one without a
+// futex wake, while a pool left idle (between trials, after the walk)
+// parks within a millisecond.
 //
 // Each run(num_tasks, fn) invokes fn(i) for every i in [0, num_tasks)
 // exactly once, handing indices out through an atomic counter (shards

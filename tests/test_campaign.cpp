@@ -1,7 +1,7 @@
 // Campaign engine: axis parsing and expansion (grid/zip/list, cartesian
 // order, identity hashing, order-independent seed derivation), the JSONL
 // journal (round-trip, truncated-tail tolerance, corruption detection),
-// the jthread scheduler (thread-count-invariant journals at 100+
+// the scheduler (thread-count-invariant journals at 100+
 // experiments, resume-after-interrupt equals an uninterrupted run), and
 // the aggregation pipeline (group-by reducers, CSV/JSON artifacts,
 // Theorem-1 envelope checks).

@@ -55,6 +55,26 @@ TEST(Args, BoolRecognizedSpellings) {
   EXPECT_TRUE(parse({"--x=on"}).get_bool("x", false));
   EXPECT_FALSE(parse({"--x=false"}).get_bool("x", true));
   EXPECT_FALSE(parse({"--x=0"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=no"}).get_bool("x", true));
+  EXPECT_FALSE(parse({"--x=off"}).get_bool("x", true));
+}
+
+// Any other spelling is an error, not a silent false: --quiet=TRUE or
+// --tiny=ture must not run the opposite of what was asked.
+TEST(Args, UnrecognizedBoolThrows) {
+  for (const char* arg : {"--x=TRUE", "--x=ture", "--x=", "--x=2"}) {
+    EXPECT_THROW((void)parse({arg}).get_bool("x", false),
+                 std::invalid_argument)
+        << arg;
+  }
+  try {
+    parse({"--quiet=TRUE"}).get_bool("quiet", false);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "flag --quiet: expected true/1/yes/on or false/0/no/off, "
+                 "got 'TRUE'");
+  }
 }
 
 TEST(Args, UintParsing) {

@@ -67,77 +67,43 @@ TEST(DefaultThreadCount, AtLeastOne) {
   EXPECT_GE(default_thread_count(), 1u);
 }
 
-// ---------------------------------------------------------------------
-// parallel_for_stoppable — the campaign scheduler's jthread work queue
-// ---------------------------------------------------------------------
-
-TEST(ParallelForStoppable, VisitsEveryIndexExactlyOnce) {
-  constexpr std::size_t kTasks = 500;
-  std::vector<std::atomic<int>> visits(kTasks);
-  parallel_for_stoppable(
-      kTasks, [&](std::size_t i, std::stop_token) { ++visits[i]; }, 4);
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelForStoppable, ResultIndependentOfThreadCount) {
-  constexpr std::size_t kTasks = 64;
-  auto run = [&](unsigned threads) {
-    std::vector<double> out(kTasks);
-    parallel_for_stoppable(
-        kTasks,
-        [&](std::size_t i, std::stop_token) {
-          out[i] = static_cast<double>(i * i);
-        },
-        threads);
-    return out;
-  };
-  EXPECT_EQ(run(1), run(2));
-  EXPECT_EQ(run(2), run(8));
-}
-
-TEST(ParallelForStoppable, ExceptionStopsHandingOutWork) {
-  // Every other task holds its worker until the stop the throwing task
-  // requests, so no worker can drain the queue while the exception
-  // unwinds, however slowly.  If stop never comes, every task returns at
-  // the shared deadline and all 1000 run, failing the check below.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+TEST(ParallelFor, ExceptionStopsHandingOutWork) {
+  // Task 0 throws at once while every other task holds its thread for
+  // about a millisecond, so only the tasks already claimed when the
+  // exception lands may run; the queue must not drain all 1000.
   std::atomic<int> started{0};
   EXPECT_THROW(
-      parallel_for_stoppable(
+      parallel_for(
           1000,
-          [&](std::size_t i, std::stop_token token) {
+          [&](std::size_t i) {
             ++started;
             if (i == 0) {
               throw std::runtime_error("boom");
             }
-            while (!token.stop_requested() &&
-                   std::chrono::steady_clock::now() < deadline) {
-              std::this_thread::yield();
-            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
           },
           2),
       std::runtime_error);
-  // Only the failing task and the one the other worker claimed run; the
-  // queue must not drain all 1000.
-  EXPECT_LE(started.load(), 2);
+  EXPECT_LT(started.load(), 100);
 }
 
-TEST(ParallelForStoppable, TokenObservableInsideTasks) {
-  // Without an exception no stop is ever requested, single- or
-  // multi-threaded.
-  std::atomic<int> stopped{0};
-  parallel_for_stoppable(
-      8,
-      [&](std::size_t, std::stop_token token) {
-        if (token.stop_requested()) {
-          ++stopped;
-        }
-      },
-      3);
-  EXPECT_EQ(stopped.load(), 0);
+TEST(ParallelFor, ShouldStopStartsNoFurtherTask) {
+  for (const unsigned threads : {1u, 4u}) {
+    // Stops once five tasks have started.  Each thread polls before it
+    // starts a task, so a thread that polled just before the fifth
+    // start may still start one more: at most threads - 1 extra.
+    std::atomic<unsigned> started{0};
+    parallel_for(
+        1000, [&](std::size_t) { ++started; }, threads,
+        [&] { return started.load() >= 5; });
+    EXPECT_GE(started.load(), 5u) << threads << " thread(s)";
+    EXPECT_LE(started.load(), 5u + threads - 1) << threads << " thread(s)";
+
+    // Already stopped: nothing starts.
+    parallel_for(
+        10, [&](std::size_t) { FAIL() << "must not be called"; }, threads,
+        [] { return true; });
+  }
 }
 
 }  // namespace
